@@ -123,21 +123,26 @@ fleet-smoke:
 	$(GO) test -race -count=1 ./internal/fleet/
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet
 	dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	bin/vodfleet -sessions 600 -seed 1 -workers 1 -q -nocache -json "$$dir/w1.json" && \
-	bin/vodfleet -sessions 600 -seed 1 -workers 8 -q -nocache -json "$$dir/w8.json" && \
+	bin/vodfleet -sessions 600 -seed 1 -workers 1 -q -json "$$dir/w1.json" && \
+	bin/vodfleet -sessions 600 -seed 1 -workers 8 -q -json "$$dir/w8.json" && \
 	cmp "$$dir/w1.json" "$$dir/w8.json" && \
 	echo "fleet-smoke: workers=1 and workers=8 reports are byte-identical"
 
 # Edge-cache determinism gate, mirroring fleet-smoke's cmp discipline
-# for the cdn tier (DESIGN.md §13). Three identities must hold:
+# for the cdn tier (DESIGN.md §13). Every run puts half the population
+# on cell 0 (-hotspot 0.5), and the failure hits that cell's edge node,
+# so the failure scenario re-routes sessions at any fleet size. Four
+# identities must hold:
 #   1. no -cache flag vs a transparent spec (zero-size edge, no TTL,
 #      unlimited metro) — the transparent config must normalize away and
 #      leave the report byte-identical, cdn section and all;
-#   2. workers=1 vs workers=8 with the full tier on (finite edge +
+#   2. workers=2 vs workers=8 with the full tier on (finite edge +
 #      metro + backhaul + cold cells + a mid-run edge failure) — cache
 #      state is per-cell/per-shard, so the schedule cannot reach it;
 #   3. determinism is not vacuous: the cached run must differ from the
-#      uncached one (the tier actually changed delivery).
+#      uncached one (the tier actually changed delivery);
+#   4. the failure is not vacuous: the cached run re-routes at least
+#      one session.
 # FLEET_CACHE_SESSIONS=100000 (with FLEET_CACHE_FIDELITY=0.05) is the
 # CI scale tier; the cached runs also carry the heap ceiling so the
 # cache slabs stay inside the fleet memory contract.
@@ -148,23 +153,25 @@ FLEET_CACHE_SPEC ?= edge:64MiB,metro:2GiB,ttl=6h
 fleet-cache-cmp:
 	$(GO) build -o bin/vodfleet ./cmd/vodfleet
 	dir="$$(mktemp -d)"; trap 'rm -rf "$$dir"' EXIT; \
-	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) \
-		-seed 1 -workers 4 -q -nocache -json "$$dir/off.json" && \
-	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) \
-		-seed 1 -workers 4 -q -nocache \
+	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) -hotspot 0.5 \
+		-seed 1 -workers 4 -q -json "$$dir/off.json" && \
+	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) -hotspot 0.5 \
+		-seed 1 -workers 4 -q \
 		-cache edge:0,metro:-1,ttl=0 -json "$$dir/inf.json" && \
 	cmp "$$dir/off.json" "$$dir/inf.json" && \
-	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) \
-		-seed 1 -workers 2 -q -nocache -memceiling-mb $(FLEET_CACHE_CEILING_MB) \
-		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
+	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) -hotspot 0.5 \
+		-seed 1 -workers 2 -q -memceiling-mb $(FLEET_CACHE_CEILING_MB) \
+		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=0,t=60s \
 		-json "$$dir/c2.json" && \
-	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) \
-		-seed 1 -workers 8 -q -nocache -memceiling-mb $(FLEET_CACHE_CEILING_MB) \
-		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=5,t=60s \
+	bin/vodfleet -sessions $(FLEET_CACHE_SESSIONS) -fidelity $(FLEET_CACHE_FIDELITY) -hotspot 0.5 \
+		-seed 1 -workers 8 -q -memceiling-mb $(FLEET_CACHE_CEILING_MB) \
+		-cache $(FLEET_CACHE_SPEC) -coldcells 0-3 -cachefail cell=0,t=60s \
 		-json "$$dir/c8.json" && \
 	cmp "$$dir/c2.json" "$$dir/c8.json" && \
 	! cmp -s "$$dir/off.json" "$$dir/c2.json" && \
-	echo "fleet-cache-cmp: transparent cache byte-identical to disabled; cached fleet byte-identical across worker counts"
+	grep -Eq '"rerouted_sessions": [1-9]' "$$dir/c2.json" && \
+	grep -E '"rerouted_sessions"' "$$dir/c2.json" && \
+	echo "fleet-cache-cmp: transparent cache byte-identical to disabled; cached fleet byte-identical across worker counts and re-routes sessions"
 
 # Scale gate: a 100k-session mixed-fidelity fleet (5% full player, 95%
 # background tier, 8 focus members) run at two worker counts must emit
@@ -189,13 +196,13 @@ fleet-scale:
 	fi; \
 	set -x; \
 	bin/vodfleet -sessions $(FLEET_SCALE_SESSIONS) -fidelity 0.05 -focus 8 -seed 1 \
-		-workers 2 -q -nocache -memceiling-mb $(FLEET_SCALE_CEILING_MB) -json "$$dir/w2.json" && \
+		-workers 2 -q -memceiling-mb $(FLEET_SCALE_CEILING_MB) -json "$$dir/w2.json" && \
 	bin/vodfleet -sessions $(FLEET_SCALE_SESSIONS) -fidelity 0.05 -focus 8 -seed 1 \
-		-workers 8 -q -nocache -memceiling-mb $(FLEET_SCALE_CEILING_MB) -json "$$dir/w8.json" && \
+		-workers 8 -q -memceiling-mb $(FLEET_SCALE_CEILING_MB) -json "$$dir/w8.json" && \
 	cmp "$$dir/w2.json" "$$dir/w8.json" && \
 	bin/vodfleet -sessions $(FLEET_SCALE_SESSIONS) -fidelity 0.05 -seed 1 \
 		-workers 8 -q -sweep hotspot=0,0.2 -json "$$dir/sweep.json" && \
 	bin/vodfleet -sessions $(FLEET_SCALE_SESSIONS) -fidelity 0.05 -seed 1 -hotspot 0.2 \
-		-workers 8 -q -nocache -json "$$dir/cold-hotspot.json" && \
+		-workers 8 -q -json "$$dir/cold-hotspot.json" && \
 	cmp "$$dir/sweep.json.hotspot=0.2" "$$dir/cold-hotspot.json" && \
 	echo "fleet-scale: $(FLEET_SCALE_SESSIONS) sessions byte-identical across worker counts under a $(FLEET_SCALE_CEILING_MB) MiB heap ceiling; warm sweep byte-identical to cold run"

@@ -140,37 +140,33 @@ func substrateSpecs() ([]benchSpec, error) {
 
 	transferProfile := netem.Constant("c", 10e6, 1e6)
 
-	// simnet_fanin512 / simnet_fanin512_scan: 512 concurrent flows
-	// through one shared profile — the flash-crowd fan-in regime. The
-	// first runs the virtual-time engine (what EngineAuto picks at this
-	// population), the second forces the O(F)-scan engine; the pair
-	// locks in the vtime speedup and catches either engine regressing.
-	fanIn512 := func(engine simnet.Engine) func(b *testing.B) {
-		return func(b *testing.B) {
-			cfg := simnet.DefaultConfig()
-			cfg.Engine = engine
-			n := simnet.New(cfg, netem.Constant("edge", 200e6, 1000))
-			conns := make([]*simnet.Conn, 512)
-			for i := range conns {
-				conns[i] = n.Dial()
+	// simnet_fanin512: 512 concurrent flows through one shared profile —
+	// the flash-crowd fan-in regime — on the virtual-time engine, which
+	// is what the default engine hands off to at this population.
+	fanIn512 := func(b *testing.B) {
+		cfg := simnet.DefaultConfig()
+		cfg.Engine = simnet.EngineVTime
+		n := simnet.New(cfg, netem.Constant("edge", 200e6, 1000))
+		conns := make([]*simnet.Conn, 512)
+		for i := range conns {
+			conns[i] = n.Dial()
+		}
+		rng := rand.New(rand.NewSource(1))
+		sizes := make([]float64, len(conns))
+		for i := range sizes {
+			sizes[i] = math.Round(rng.Float64()*2e6) + 1e5
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j, c := range conns {
+				c.Start(sizes[j], nil)
 			}
-			rng := rand.New(rand.NewSource(1))
-			sizes := make([]float64, len(conns))
-			for i := range sizes {
-				sizes[i] = math.Round(rng.Float64()*2e6) + 1e5
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, c := range conns {
-					c.Start(sizes[j], nil)
-				}
-				for delivered := 0; delivered < len(conns); {
-					done := n.Step(1e12)
-					delivered += len(done)
-					for _, tr := range done {
-						n.Recycle(tr)
-					}
+			for delivered := 0; delivered < len(conns); {
+				done := n.Step(1e12)
+				delivered += len(done)
+				for _, tr := range done {
+					n.Recycle(tr)
 				}
 			}
 		}
@@ -225,8 +221,7 @@ func substrateSpecs() ([]benchSpec, error) {
 				}
 			}
 		}},
-		{"substrate/simnet_fanin512", "substrate", fanIn512(simnet.EngineVTime)},
-		{"substrate/simnet_fanin512_scan", "substrate", fanIn512(simnet.EngineScan)},
+		{"substrate/simnet_fanin512", "substrate", fanIn512},
 		{"substrate/live_session", "substrate", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -294,19 +289,20 @@ func substrateSpecs() ([]benchSpec, error) {
 		}},
 		// fleet_cdn_100k: the 100k-session fleet with the full edge-cache
 		// tier on (finite edge + metro + backhaul contention + a cold
-		// region + a mid-run edge failure), serial. The allocs/op gate is
-		// the zero-alloc steady-state contract for the cdn hot path: cache
+		// region + a mid-run edge failure on the hotspot cell, so sessions
+		// actually re-route), serial. The allocs/op gate is the
+		// zero-alloc steady-state contract for the cdn hot path: cache
 		// lookup/admit/evict and balancer routing recycle entries through
 		// the free list, so per-request allocation shows up here as an
 		// exact allocs/op regression against the baseline.
 		{"substrate/fleet_cdn_100k", "substrate", func(b *testing.B) {
-			cfg := fleet.Config{Seed: 1, Sessions: 100_000, FidelityFull: 0.05,
+			cfg := fleet.Config{Seed: 1, Sessions: 100_000, FidelityFull: 0.05, Hotspot: 0.5,
 				Cache: &cdn.CacheConfig{
 					EdgeBytes:  64 << 20,
 					MetroBytes: 2 << 30,
 					TTLSec:     6 * 3600,
 					ColdCells:  "0-3",
-					FailCell:   5,
+					FailCell:   0,
 					FailAtSec:  60,
 				}}
 			b.ReportAllocs()

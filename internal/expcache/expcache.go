@@ -46,7 +46,7 @@ import (
 // result: old entries then miss cleanly instead of resurrecting stale
 // results. The committed REPORT.md is the ground truth a bumped engine
 // must be re-verified against.
-const EngineVersion = "8"
+const EngineVersion = "9"
 
 // Stats is a snapshot of the cache counters.
 type Stats struct {
@@ -80,6 +80,12 @@ type Cache struct {
 	disk     *diskTier
 
 	origins Memo[Key, *origin.Origin]
+	// presKeys memoizes presentation content hashes by pointer.
+	// Presentations are immutable once built (the modify package clones
+	// before editing), so a pointer's content never changes. Reset
+	// clears it with the origins, so dropped presentations are not
+	// pinned.
+	presKeys sync.Map // *manifest.Presentation -> Key
 
 	memHits, diskHits, misses, dedup, bypass atomic.Int64
 	diskErrors, bytesRead, bytesWritten      atomic.Int64
@@ -118,14 +124,18 @@ func (c *Cache) SetDir(dir string) error {
 // directly and is counted as a bypass.
 func (c *Cache) SetDisabled(v bool) { c.disabled.Store(v) }
 
-// Reset drops the in-memory tier (sessions and origins) and zeroes the
-// counters; the disk tier and disabled flag are untouched. Not safe to
-// call concurrently with session runs.
+// Reset drops the in-memory tier (sessions, origins and presentation
+// hashes) and zeroes the counters; the disk tier and disabled flag are
+// untouched. Not safe to call concurrently with session runs.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	c.sessions = nil
 	c.mu.Unlock()
 	c.origins.Reset()
+	c.presKeys.Range(func(k, _ any) bool {
+		c.presKeys.Delete(k)
+		return true
+	})
 	for _, a := range []*atomic.Int64{
 		&c.memHits, &c.diskHits, &c.misses, &c.dedup, &c.bypass,
 		&c.diskErrors, &c.bytesRead, &c.bytesWritten,
@@ -161,34 +171,29 @@ func DefaultDir() (string, error) {
 	return filepath.Join(base, "vodrepro"), nil
 }
 
-// presKeys memoizes presentation content hashes by pointer.
-// Presentations are immutable once built (the modify package clones
-// before editing), so a pointer's content never changes; the map is
-// content-addressed and never invalidated.
-var presKeys sync.Map // *manifest.Presentation -> Key
-
-func presKey(p *manifest.Presentation) (Key, error) {
-	if k, ok := presKeys.Load(p); ok {
+// presKey returns p's content hash, memoized per presentation.
+func (c *Cache) presKey(p *manifest.Presentation) (Key, error) {
+	if k, ok := c.presKeys.Load(p); ok {
 		return k.(Key), nil
 	}
 	k, err := Fingerprint(p)
 	if err != nil {
 		return Key{}, err
 	}
-	presKeys.Store(p, k)
+	c.presKeys.Store(p, k)
 	return k, nil
 }
 
 // sessionKey fingerprints one session: engine stamp, fully defaulted
 // player config, origin content, profile schedule, network model config.
-func sessionKey(cfg player.Config, org *origin.Origin, p *netem.Profile, netCfg simnet.Config) (Key, error) {
+func (c *Cache) sessionKey(cfg player.Config, org *origin.Origin, p *netem.Profile, netCfg simnet.Config) (Key, error) {
 	norm, err := cfg.Normalized()
 	if err != nil {
 		// Invalid config: run directly so the caller sees the same error
 		// the session constructor would produce.
 		return Key{}, err
 	}
-	pk, err := presKey(org.Pres)
+	pk, err := c.presKey(org.Pres)
 	if err != nil {
 		return Key{}, err
 	}
@@ -213,7 +218,7 @@ func (c *Cache) RunNet(cfg player.Config, org *origin.Origin, p *netem.Profile, 
 		c.bypass.Add(1)
 		return runSession(cfg, org, p, netCfg)
 	}
-	key, err := sessionKey(cfg, org, p, netCfg)
+	key, err := c.sessionKey(cfg, org, p, netCfg)
 	if err != nil {
 		c.bypass.Add(1)
 		return runSession(cfg, org, p, netCfg)

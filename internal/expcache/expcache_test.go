@@ -11,7 +11,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/manifest"
 	"repro/internal/modify"
 	"repro/internal/netem"
 	"repro/internal/player"
@@ -379,7 +381,7 @@ func sessionDiskPath(t *testing.T, dir string, svc *services.Service) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := sessionKey(services.Resolve(svc.Player, 60, nil), org, testProfile(), simnet.DefaultConfig())
+	key, err := New().sessionKey(services.Resolve(svc.Player, 60, nil), org, testProfile(), simnet.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,4 +477,36 @@ func TestOriginSharedByContent(t *testing.T) {
 	if s.OriginBuilds != 1 || s.OriginHits != 1 {
 		t.Errorf("origin counters: %+v", s)
 	}
+}
+
+// TestResetReleasesPresentations: once Reset has dropped a session, no
+// memo keyed by its presentation — the cache's presentation hashes or
+// anything the session itself kept — may hold the presentation alive.
+// A process that resets between report regenerations must keep a flat
+// live heap instead of pinning every presentation it ever ran.
+func TestResetReleasesPresentations(t *testing.T) {
+	c := New()
+	collected := make(chan struct{})
+	func() {
+		svc := services.ByName("H1")
+		org, err := svc.Origin() // a private origin, not the cache's
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(org.Pres, func(*manifest.Presentation) { close(collected) })
+		if _, err := c.Run(svc.Player, org, testProfile(), 60, nil); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	c.Reset()
+	defer runtime.KeepAlive(c) // the cache itself stays live: only Reset may let go
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("the presentation stayed reachable after Reset")
 }

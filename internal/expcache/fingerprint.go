@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash"
-	"io"
 	"math"
 	"reflect"
 	"sort"
@@ -53,6 +52,7 @@ func Fingerprint(vs ...any) (Key, error) {
 type hasher struct {
 	h       hash.Hash
 	buf     [9]byte
+	sbuf    []byte // reused string bytes: converting each string would allocate
 	visited map[uintptr]int
 }
 
@@ -69,15 +69,28 @@ func (h *hasher) u64(tag byte, u uint64) {
 
 func (h *hasher) str(tag byte, s string) {
 	h.u64(tag, uint64(len(s)))
-	io.WriteString(h.h, s)
+	h.write(s)
 }
 
-// typeIdentity names a type unambiguously across packages.
-func typeIdentity(t reflect.Type) string {
+func (h *hasher) write(s string) {
+	h.sbuf = append(h.sbuf[:0], s...)
+	h.h.Write(h.sbuf)
+}
+
+// typeID emits the type's identity as one tagged string — package path,
+// ".", name for named types, the type's String otherwise — so types are
+// named unambiguously across packages. Writing the pieces in turn hashes
+// the same bytes as the concatenation without allocating it.
+func (h *hasher) typeID(tag byte, t reflect.Type) {
 	if t.Name() != "" && t.PkgPath() != "" {
-		return t.PkgPath() + "." + t.Name()
+		pkg, name := t.PkgPath(), t.Name()
+		h.u64(tag, uint64(len(pkg)+1+len(name)))
+		h.write(pkg)
+		h.write(".")
+		h.write(name)
+		return
 	}
-	return t.String()
+	h.str(tag, t.String())
 }
 
 func (h *hasher) walk(v reflect.Value) error {
@@ -137,11 +150,11 @@ func (h *hasher) walk(v reflect.Value) error {
 			h.tag('n')
 			return nil
 		}
-		h.str('t', typeIdentity(v.Elem().Type()))
+		h.typeID('t', v.Elem().Type())
 		return h.walk(v.Elem())
 	case reflect.Struct:
 		t := v.Type()
-		h.str('T', typeIdentity(t))
+		h.typeID('T', t)
 		h.u64('L', uint64(t.NumField()))
 		for i := 0; i < t.NumField(); i++ {
 			h.str('F', t.Field(i).Name)

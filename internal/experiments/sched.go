@@ -25,6 +25,3 @@ import (
 // Tests swap it to control parallelism independently of the machine's
 // core count.
 var sched = schedpkg.Global
-
-// newScheduler builds a private scheduler (test seam).
-func newScheduler(capacity int) *schedpkg.Scheduler { return schedpkg.New(capacity) }

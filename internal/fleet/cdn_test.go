@@ -124,7 +124,7 @@ func TestCacheColdCellsMiss(t *testing.T) {
 	warm.Cache = &cdn.CacheConfig{EdgeBytes: 256 << 20, TTLSec: 3600}
 	cold := warm
 	cc := *warm.Cache
-	cc.ColdCells = "0-1000" // every cell cold
+	cc.ColdCells = "0-79" // every cell cold: 160 sessions, 2 per cell
 	cold.Cache = &cc
 	wrep, err := RunWithOptions(context.Background(), warm, RunOptions{Workers: 2})
 	if err != nil {
@@ -173,5 +173,41 @@ func TestCacheCellCacheKey(t *testing.T) {
 	}
 	if s.Skipped == 0 {
 		t.Fatal("metro-coupled cells not counted as skipped")
+	}
+}
+
+// TestConfigRejectsUnmatchedCacheCells: a failure cell or cold-cell
+// index that no cell of the run matches is a config error, not a
+// scenario that silently does nothing. The run here has 80 cells.
+func TestConfigRejectsUnmatchedCacheCells(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		failCell  int
+		failAt    float64
+		coldCells string
+		ok        bool
+	}{
+		{"last cell fails", 79, 60, "", true},
+		{"failure past the last cell", 80, 60, "", false},
+		{"negative failure cell", -1, 60, "", false},
+		{"inactive failure is not checked", 99, 0, "0", true},
+		{"cold range ends at the last cell", 0, 0, "0-79", true},
+		{"cold range past the last cell", 0, 0, "70-80", false},
+		{"single cold cell past the last", 0, 0, "3,99", false},
+		{"malformed cold range", 0, 0, "5-2", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cdnCfg
+			cc := *cdnCfg.Cache
+			cc.FailCell, cc.FailAtSec, cc.ColdCells = tc.failCell, tc.failAt, tc.coldCells
+			cfg.Cache = &cc
+			_, err := cfg.Normalized()
+			if tc.ok && err != nil {
+				t.Fatalf("rejected an in-range config: %v", err)
+			}
+			if !tc.ok && err == nil {
+				t.Fatal("accepted a cell no cell of the run matches")
+			}
+		})
 	}
 }

@@ -34,7 +34,7 @@
 //
 // Fidelity contract: FidelityFull sets the per-client probability of
 // running the full player state machine; the rest run the background
-// tier (player.Background) — an analytically-stepped session model that
+// tier (player.Cohort) — an analytically-stepped session model that
 // still moves every byte through the same water-filling network, so
 // coarse and full sessions shape each other. The mix is drawn per
 // client inside the cell's RNG stream.
@@ -131,8 +131,8 @@ type Config struct {
 	Cache *cdn.CacheConfig `json:"cache,omitempty"`
 }
 
-// Normalized fills every default; the normalized config is what the
-// report echoes and what RunCached fingerprints.
+// Normalized fills every default and validates the config; the
+// normalized config is what the report echoes.
 func (c Config) Normalized() (Config, error) {
 	if c.Sessions <= 0 {
 		return c, fmt.Errorf("fleet: Sessions must be positive")
@@ -200,8 +200,20 @@ func (c Config) Normalized() (Config, error) {
 			// to no cache tier at all, so normalize it away.
 			c.Cache = nil
 		} else {
-			if _, err := cc.ColdSet(); err != nil {
-				return c, fmt.Errorf("fleet: %v", err)
+			// A failure or cold cell that no cell of the run matches
+			// would leave the scenario silently inert: reject it.
+			cells := cellCount(c)
+			if cc.FailAtSec > 0 && (cc.FailCell < 0 || cc.FailCell >= cells) {
+				return c, fmt.Errorf("fleet: failure cell %d out of range: the run has %d cells", cc.FailCell, cells)
+			}
+			if cc.ColdCells != "" {
+				cold, err := cdn.ParseCellSet(cc.ColdCells)
+				if err != nil {
+					return c, fmt.Errorf("fleet: %v", err)
+				}
+				if k := len(cold); k > 0 && cold[k-1] >= cells {
+					return c, fmt.Errorf("fleet: cold cell %d out of range: the run has %d cells", cold[k-1], cells)
+				}
 			}
 			c.Cache = &cc
 		}
@@ -544,29 +556,6 @@ func backgroundTemplate(org *origin.Origin) player.BackgroundConfig {
 	}
 }
 
-// memo caches fleet reports by config fingerprint for the lifetime of
-// the process (a vodfleet sweep or a test re-running the same config
-// pays the simulation once).
-var memo expcache.Memo[expcache.Key, *Report]
-
-// RunCached is the memoized counterpart of Run: reports are
-// content-addressed by the fingerprint of the normalized config (the
-// worker count is not part of the key — it cannot change the bytes).
-// Configs that somehow fail to fingerprint fall back to an uncached Run.
-func RunCached(ctx context.Context, cfg Config, workers int) (*Report, error) {
-	ncfg, err := cfg.Normalized()
-	if err != nil {
-		return nil, err
-	}
-	key, err := expcache.Fingerprint("fleet", expcache.EngineVersion, ncfg)
-	if err != nil {
-		return Run(ctx, cfg, workers) // unreachable for plain-data configs
-	}
-	return memo.Get(key, func() (*Report, error) {
-		return Run(ctx, ncfg, workers)
-	})
-}
-
 // sessMeta ties a finished session back to its population coordinates.
 type sessMeta struct {
 	client Client
@@ -626,9 +615,7 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 		}
 	}
 	edge := netem.Constant("edge", cfg.EdgeMbps*1e6, horizon+1)
-	scfg := simnet.DefaultConfig()
-	scfg.Engine = simnet.EngineCell
-	net := simnet.New(scfg, edge)
+	net := simnet.New(simnet.DefaultConfig(), edge)
 
 	// The cell's edge-cache tier: its nodes, balancer and backhaul link
 	// are cell-private; the metro cache (possibly nil) is shard state.
@@ -654,7 +641,7 @@ func runCell(cfg Config, svcs []*services.Service, origins []*origin.Origin, bgT
 	})
 	// The whole background tier of the cell runs as one vectorized
 	// cohort: same per-member arithmetic (differentially tested
-	// bit-exact against player.Background), one group-heap entry and
+	// bit-exact against a per-flow oracle), one group-heap entry and
 	// contiguous slabs instead of a heap entry and a heap allocation
 	// per member.
 	cohort := player.NewCohort(net)

@@ -445,21 +445,6 @@ func TestReportAccounting(t *testing.T) {
 	}
 }
 
-func TestRunCachedMemoizes(t *testing.T) {
-	cfg := Config{Seed: 11, Sessions: 24, ArrivalWindowSec: 30, WatchSec: 20, ClientsPerCell: 12, Services: []string{"H1"}}
-	a, err := RunCached(context.Background(), cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCached(context.Background(), cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("identical configs did not hit the memo")
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := (Config{Sessions: 0}).Normalized(); err == nil {
 		t.Fatal("accepted zero sessions")

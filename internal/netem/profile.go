@@ -230,22 +230,22 @@ func (c *Cursor) nextChangeFrom(t float64) float64 {
 		b = n * p.SampleDur
 	}
 	if p.SampleDur == 1 {
+		// Boundary n+k is sample (n+k) mod size; n+k is exact in float64.
 		size := len(p.Samples)
 		i := int(n) % size
 		if i < 0 {
 			i += size
 		}
-		for k := 0; k < size; k++ {
+		for k, s := range p.Samples[i:] {
 			// Exact comparison on purpose: samples are stored values never
 			// recomputed, so "changed" means the bits differ.
-			if p.Samples[i] != v { //vodlint:allow floateq — change detection on stored, never-recomputed sample values
-				return b
+			if s != v { //vodlint:allow floateq — change detection on stored, never-recomputed sample values
+				return n + float64(k)
 			}
-			n++
-			b = n
-			i++
-			if i == size {
-				i = 0
+		}
+		for k, s := range p.Samples[:i] {
+			if s != v { //vodlint:allow floateq — change detection on stored, never-recomputed sample values
+				return n + float64(size-i+k)
 			}
 		}
 		return math.Inf(1)

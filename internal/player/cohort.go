@@ -7,28 +7,69 @@ import (
 	"repro/internal/simnet"
 )
 
+// BackgroundConfig shapes one background flow — the coarse analytic
+// session tier of a fleet cell.
+type BackgroundConfig struct {
+	// Declared is the ladder's declared bitrates in bits/s, ascending.
+	Declared []float64
+	// SegmentDuration and MediaDuration define the segment grid.
+	SegmentDuration float64
+	MediaDuration   float64
+	// SessionDuration caps wall time, counted from StartAt.
+	SessionDuration float64
+	// StartupBufferSec gates first frame and stall recovery (default 8,
+	// matching the full player's startup gate).
+	StartupBufferSec float64
+	// MaxBufferSec pauses downloading when the buffer reaches it
+	// (default 60, the full player's pause threshold).
+	MaxBufferSec float64
+	// SafetyFactor scales the throughput estimate before picking the
+	// highest sustainable rung (default 0.8, the classic rate-based
+	// margin).
+	SafetyFactor float64
+	// EWMAAlpha is the throughput filter gain (default 0.3).
+	EWMAAlpha float64
+}
+
+func (c BackgroundConfig) withDefaults() BackgroundConfig {
+	if c.SessionDuration <= 0 {
+		c.SessionDuration = 600
+	}
+	if c.StartupBufferSec <= 0 {
+		c.StartupBufferSec = 8
+	}
+	if c.MaxBufferSec <= 0 {
+		c.MaxBufferSec = 60
+	}
+	if c.SafetyFactor <= 0 {
+		c.SafetyFactor = 0.8
+	}
+	if c.EWMAAlpha <= 0 {
+		c.EWMAAlpha = 0.3
+	}
+	return c
+}
+
 // Cohort is the vectorized form of a cell's background tier: every
 // coarse session of one cell stored as structure-of-arrays slabs and
 // batch-stepped by a single Group member, instead of one heap-allocated
-// Background per session scattered across the heap. At a million
-// sessions the per-object layout is the fleet's dominant cost — each
-// wake touches a dozen cache lines of one Background before jumping to
-// an unrelated one — while the slab layout walks contiguous memory in
+// object per session scattered across the heap. At a million sessions
+// the per-object layout is the fleet's dominant cost — each wake
+// touches a dozen cache lines of one object before jumping to an
+// unrelated one — while the slab layout walks contiguous memory in
 // member order and shares one deadline heap, one wake list and one
 // scratch Summary across the whole cell.
 //
 // The contract is bit-exactness, not resemblance: a Cohort of N members
-// produces byte-identical Summaries to N individual Backgrounds added
-// to the same Group in the same order (asserted by the differential
-// suite in cohort_test.go). That holds because the member-local
-// arithmetic is transcribed from Background with identical expression
-// trees, members within the cohort are serviced/advanced in ascending
-// index order — exactly the ascending member-id order the Group gives
-// individual Backgrounds registered after all full sessions — and
-// completions are dispatched in batch order either way. The cohort's
-// group-heap key is the minimum of its internal per-member deadline
-// heap, so the Group wakes it precisely when it would have woken the
-// earliest individual Background.
+// produces byte-identical Summaries to the same N members run as
+// individual per-flow objects, the oracle kept in cohort_test.go
+// (asserted by the differential suite there). That holds because the
+// member-local arithmetic is transcribed from the oracle with identical
+// expression trees, members are serviced/advanced in ascending index
+// order either way, and completions are dispatched in batch order
+// either way. The cohort's group-heap key is the minimum of
+// its internal per-member deadline heap, so the Group wakes it
+// precisely when its earliest member is due.
 //
 // Members are appended with Add (each carrying its own
 // BackgroundConfig — fleet cells mix service templates and per-viewer
@@ -62,7 +103,7 @@ type Cohort struct {
 	totBytes []float64
 
 	conn []*simnet.Conn
-	refs []cohortRef // Transfer.Meta targets: pointers into this slab
+	refs []tierRef // Transfer.Meta targets: pointers into this slab
 
 	// Segment FIFO rings: member m owns qTrack/qDur/qMark[m*qCap :
 	// (m+1)*qCap], a ring of at most qCap buffered stretches (the buffer
@@ -93,15 +134,13 @@ type Cohort struct {
 	woken []bool
 	wake  []int
 
-	live    int  // members not yet finished
-	retired bool // Group bookkeeping: counted out of `remaining` once
-	frozen  bool
+	live   int // members not yet finished
+	frozen bool
 
 	observer func(int, *Summary)
 	scratch  Summary
 
-	// gidx is the cohort's member id in the Group run driving it.
-	gidx int
+	groupSlot
 }
 
 // Per-member flag bits.
@@ -115,23 +154,14 @@ const (
 	coInflight
 )
 
-// cohortRef identifies one cohort member as a transfer's Meta: a
-// pointer into the cohort's refs slab, so starting a request boxes a
-// pointer (no allocation) and a completion routes back to the member.
-type cohortRef struct {
-	c   *Cohort
-	idx int
-}
-
 // NewCohort starts an empty cohort over the shared network; append
 // members with Add, then register it with Group.AddCohort.
 func NewCohort(net *simnet.Network) *Cohort {
 	return &Cohort{net: net}
 }
 
-// Add appends one member with its own config (defaults applied exactly
-// as NewBackground would) and returns its index. Call before the
-// cohort joins a Group.
+// Add appends one member with its own config (defaults applied) and
+// returns its index. Call before the cohort joins a Group.
 func (c *Cohort) Add(cfg BackgroundConfig) int {
 	if c.frozen {
 		panic("player: Cohort.Add after the cohort joined a group")
@@ -222,7 +252,7 @@ func (c *Cohort) freeze() {
 	c.ewma = make([]float64, n)
 	c.totBytes = make([]float64, n)
 	c.conn = make([]*simnet.Conn, n)
-	c.refs = make([]cohortRef, n)
+	c.refs = make([]tierRef, n)
 	c.qTrack = make([]int32, n*c.qCap)
 	c.qDur = make([]float64, n*c.qCap)
 	c.qMark = make([]uint8, n*c.qCap)
@@ -248,7 +278,7 @@ func (c *Cohort) freeze() {
 		c.lastTime[m] = c.startAt[m]
 		c.prevTrak[m] = -1
 		c.sumStartup[m] = -1
-		c.refs[m] = cohortRef{c: c, idx: m}
+		c.refs[m] = tierRef{t: c, idx: m}
 		// First round: every member is serviced once, mirroring the
 		// Group's initial all-member wake.
 		c.woken[m] = true
@@ -270,6 +300,28 @@ func (c *Cohort) segDurAt(m, i int) float64 {
 		return cfg.MediaDuration - start
 	}
 	return cfg.SegmentDuration
+}
+
+// wakeOwner queues member m after one of its transfers completed,
+// unless it already finished.
+//
+//vodlint:hotpath — called once per completed cohort transfer
+func (c *Cohort) wakeOwner(m int) bool {
+	if c.memberDone(m) {
+		return false
+	}
+	c.wakeMember(m)
+	return true
+}
+
+// complete books member m's finished transfer unless it already
+// finished.
+//
+//vodlint:hotpath — cohort completion dispatch: once per completed transfer
+func (c *Cohort) complete(m int, tr *simnet.Transfer) {
+	if !c.memberDone(m) {
+		c.onComplete(m, tr)
+	}
 }
 
 // wakeMember queues member m for the next advance/service round
@@ -332,11 +384,11 @@ func (c *Cohort) advanceWoken(tnow float64) {
 // service runs the Group's per-member service step over the woken
 // members in ascending order: finish members past their end, park
 // unarrived members at their start, let the rest issue requests and
-// re-key their internal deadline. The caller re-keys the cohort's
-// group-heap entry from minKey afterwards.
+// re-key their internal deadline. It returns the live member count; the
+// caller re-keys the cohort's group-heap entry from minKey afterwards.
 //
 //vodlint:hotpath — cohort service phase: once per group iteration
-func (c *Cohort) service(now float64) {
+func (c *Cohort) service(now float64) int {
 	for _, m := range c.wake {
 		c.woken[m] = false
 		if c.flags[m]&coDone != 0 {
@@ -359,11 +411,12 @@ func (c *Cohort) service(now float64) {
 		c.h.set(m, d)
 	}
 	c.wake = c.wake[:0]
+	return c.live
 }
 
 // issueRequests starts member m's next segment download if it is behind
 // its buffer target. One request at a time: the coarse tier has no
-// pipeline. Expression-identical to Background.issueRequests.
+// pipeline. Expression-identical to the oracle.
 //
 //vodlint:hotpath — cohort request issue: once per serviced member
 func (c *Cohort) issueRequests(m int) {
@@ -406,7 +459,7 @@ func (c *Cohort) issueRequests(m int) {
 }
 
 // onComplete books member m's finished segment transfer.
-// Expression-identical to Background.onComplete.
+// Expression-identical to the oracle.
 //
 //vodlint:hotpath — cohort completion fold: once per completed transfer
 func (c *Cohort) onComplete(m int, tr *simnet.Transfer) {
@@ -451,7 +504,7 @@ func (c *Cohort) maybeStartPlayback(m int, now float64) {
 }
 
 // advancePlayback drains member m's fluid buffer to wall time t.
-// Expression-identical to Background.advancePlayback.
+// Expression-identical to the oracle.
 //
 //vodlint:hotpath — cohort playback drain: once per woken member per iteration
 func (c *Cohort) advancePlayback(m int, t float64) {
@@ -480,7 +533,7 @@ func (c *Cohort) advancePlayback(m int, t float64) {
 
 // consume plays adv seconds of member m's media off its FIFO ring,
 // folding displayed bitrate, time-on-track and switch counts as each
-// stretch is shown. Expression-identical to Background.consume.
+// stretch is shown. Expression-identical to the oracle.
 //
 //vodlint:hotpath — cohort FIFO drain: inner loop of every playback advance
 func (c *Cohort) consume(m int, adv float64) {
@@ -518,8 +571,7 @@ func (c *Cohort) consume(m int, adv float64) {
 }
 
 // nextDeadline is the next time member m's control state can change
-// without a download completing. Expression-identical to
-// Background.nextDeadline.
+// without a download completing. Expression-identical to the oracle.
 func (c *Cohort) nextDeadline(m int, now float64) float64 {
 	if c.flags[m]&coPlaying == 0 {
 		return math.Inf(1)

@@ -4,21 +4,424 @@ package player
 //
 // The contract is bit-exactness: a Cohort must be observationally
 // indistinguishable from the same members run as individual Background
-// flows — not within a tolerance, but byte-identical Summaries. Every
-// test here builds the same scenario twice (fresh networks, identical
-// construction order) and compares exactly.
+// flows — the per-object oracle below — not within a tolerance, but
+// byte-identical Summaries. Every test here builds the same scenario
+// twice (fresh networks, identical construction order) and compares
+// exactly.
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/simnet"
 )
+
+// Background is the per-flow form of the background tier and the
+// Cohort's oracle: a session model that skips the player state machine
+// — no manifests, no per-request scheduling, no buffer index structures
+// — but still moves every byte through the shared simnet as real
+// transfers via the client's access link, so background flows and full
+// sessions shape each other under the same max-min water-filling.
+// Playback is fluid: a FIFO of media seconds drains at rate 1 while
+// downloads refill it, with an EWMA throughput rule standing in for the
+// configured ABR. Output is the same Summary a lean full-fidelity
+// session produces, with coarser semantics (segments are declared-rate
+// sized, startup/recovery share one buffer gate, no pipeline/connection
+// effects).
+type Background struct {
+	cfg  BackgroundConfig
+	net  *simnet.Network
+	link *simnet.AccessLink
+	conn *simnet.Conn
+
+	startAt  float64
+	lastTime float64
+
+	playhead  float64 // media seconds played
+	bufferSec float64 // downloaded, unplayed media seconds
+	queue     []bgSeg
+
+	segCount    int
+	nextSeg     int
+	inflight    int
+	pendingDur  float64 // media duration of the in-flight segment
+	pendingTrak int
+
+	started, playing bool
+	finished, done   bool
+	stallOpen        bool
+	stallStart       float64
+	pausedDl         bool
+
+	ewma    float64 // bits/s
+	samples int
+
+	prevTrack  int
+	totalBytes float64
+	sum        Summary
+
+	ref tierRef // Transfer.Meta target, set when the flow joins a tier
+}
+
+// bgSeg is one downloaded-not-yet-played stretch of media in a
+// background flow's FIFO buffer; consumption folds it into the
+// play-weighted bitrate accounting.
+type bgSeg struct {
+	track   int
+	dur     float64
+	counted bool // switch accounting done at first consumption
+}
+
+// NewBackground builds a background flow over the shared network. Add
+// it to a Group with addBackgrounds.
+func NewBackground(cfg BackgroundConfig, net *simnet.Network) *Background {
+	cfg = cfg.withDefaults()
+	return &Background{
+		cfg:       cfg,
+		net:       net,
+		segCount:  int(math.Ceil(cfg.MediaDuration / cfg.SegmentDuration)),
+		prevTrack: -1,
+		sum:       Summary{StartupDelay: -1, TimeOnTrack: make([]float64, len(cfg.Declared))},
+	}
+}
+
+// SetStartAt schedules the flow's arrival on the shared clock; call
+// before the group runs.
+func (b *Background) SetStartAt(t float64) {
+	if t < 0 {
+		t = 0
+	}
+	b.startAt = t
+	b.lastTime = t
+}
+
+// SetAccessLink routes the flow through a per-client access link.
+func (b *Background) SetAccessLink(l *simnet.AccessLink) { b.link = l }
+
+// Summary returns the flow's digest; complete once the group finished it.
+func (b *Background) Summary() *Summary { return &b.sum }
+
+func (b *Background) endAt() float64 { return b.startAt + b.cfg.SessionDuration }
+
+// segDurAt returns segment i's media duration (the last one is clipped
+// to the presentation end).
+func (b *Background) segDurAt(i int) float64 {
+	if start := float64(i) * b.cfg.SegmentDuration; start+b.cfg.SegmentDuration > b.cfg.MediaDuration {
+		return b.cfg.MediaDuration - start
+	}
+	return b.cfg.SegmentDuration
+}
+
+// resumeSec is the buffer level at which a paused download restarts,
+// mirroring the full player's pause/resume hysteresis defaults.
+func (b *Background) resumeSec() float64 {
+	if r := b.cfg.MaxBufferSec - 10; r > 0 {
+		return r
+	}
+	return b.cfg.MaxBufferSec / 2
+}
+
+// issueRequests starts the next segment download if the flow is behind
+// its buffer target. One request at a time: the coarse tier has no
+// pipeline.
+func (b *Background) issueRequests() {
+	if b.inflight > 0 || b.nextSeg >= b.segCount {
+		return
+	}
+	if b.pausedDl {
+		if b.bufferSec > b.resumeSec()+1e-6 {
+			return
+		}
+		b.pausedDl = false
+	} else if b.bufferSec >= b.cfg.MaxBufferSec-1e-6 {
+		b.pausedDl = true
+		return
+	}
+	track := 0
+	if b.samples > 0 {
+		budget := b.cfg.SafetyFactor * b.ewma
+		for t := len(b.cfg.Declared) - 1; t > 0; t-- {
+			if b.cfg.Declared[t] <= budget {
+				track = t
+				break
+			}
+		}
+	}
+	dur := b.segDurAt(b.nextSeg)
+	size := b.cfg.Declared[track] * dur / 8
+	if b.conn == nil {
+		b.conn = b.net.DialVia(b.link)
+	}
+	b.pendingDur, b.pendingTrak = dur, track
+	b.conn.Start(size, &b.ref)
+	b.inflight++
+}
+
+// onComplete books one finished segment transfer.
+func (b *Background) onComplete(tr *simnet.Transfer) {
+	b.inflight--
+	rate := tr.Size * 8 / math.Max(tr.Completed-tr.Started, 1e-3)
+	if b.samples == 0 {
+		b.ewma = rate
+	} else {
+		b.ewma = b.cfg.EWMAAlpha*rate + (1-b.cfg.EWMAAlpha)*b.ewma
+	}
+	b.samples++
+	b.totalBytes += tr.Size
+	b.bufferSec += b.pendingDur
+	b.queue = append(b.queue, bgSeg{track: b.pendingTrak, dur: b.pendingDur})
+	b.nextSeg++
+	b.maybeStartPlayback(tr.Completed)
+}
+
+func (b *Background) maybeStartPlayback(now float64) {
+	if b.playing || b.finished {
+		return
+	}
+	allDown := b.nextSeg >= b.segCount
+	if b.bufferSec >= b.cfg.StartupBufferSec-eps || (allDown && b.bufferSec > eps) {
+		b.playing = true
+		if !b.started {
+			b.started = true
+			b.sum.StartupDelay = now - b.startAt
+		} else if b.stallOpen {
+			b.sum.StallCount++
+			b.sum.StallSec += now - b.stallStart
+			b.stallOpen = false
+		}
+	}
+}
+
+// advancePlayback drains the fluid buffer to wall time t.
+func (b *Background) advancePlayback(t float64) {
+	for b.lastTime < t-eps {
+		if !b.playing {
+			b.lastTime = t
+			return
+		}
+		limit := math.Min(b.bufferSec, b.cfg.MediaDuration-b.playhead)
+		dt := t - b.lastTime
+		adv := math.Min(dt, math.Max(0, limit))
+		b.consume(adv)
+		b.lastTime += adv
+		if adv < dt-eps {
+			b.playing = false
+			if b.playhead >= b.cfg.MediaDuration-eps {
+				b.finished = true
+				b.lastTime = t
+				return
+			}
+			b.stallOpen = true
+			b.stallStart = b.lastTime
+		}
+	}
+}
+
+// consume plays adv seconds of media off the FIFO, folding displayed
+// bitrate, time-on-track and switch counts as each stretch is shown.
+func (b *Background) consume(adv float64) {
+	if adv <= 0 {
+		return
+	}
+	b.sum.PlayedSec += adv
+	b.playhead += adv
+	b.bufferSec = math.Max(0, b.bufferSec-adv)
+	rem := adv
+	for rem > eps && len(b.queue) > 0 {
+		e := &b.queue[0]
+		if !e.counted {
+			if b.prevTrack >= 0 && e.track != b.prevTrack {
+				b.sum.Switches++
+				if d := e.track - b.prevTrack; d > 1 || d < -1 {
+					b.sum.NonConsecutive++
+				}
+			}
+			b.prevTrack = e.track
+			e.counted = true
+		}
+		d := math.Min(rem, e.dur)
+		b.sum.WeightedBitrateSec += b.cfg.Declared[e.track] * d
+		b.sum.PlayedMediaSec += d
+		b.sum.TimeOnTrack[e.track] += d
+		e.dur -= d
+		rem -= d
+		if e.dur <= eps {
+			b.queue = b.queue[1:]
+		}
+	}
+}
+
+// nextDeadline is the next time control state can change without a
+// download completing: the buffer running dry, the media ending, or a
+// paused download crossing the resume threshold.
+func (b *Background) nextDeadline(now float64) float64 {
+	if !b.playing {
+		return math.Inf(1)
+	}
+	d := now + math.Min(b.bufferSec, b.cfg.MediaDuration-b.playhead)
+	if b.pausedDl && b.nextSeg < b.segCount {
+		d = math.Min(d, now+math.Max(0, b.bufferSec-b.resumeSec()))
+	}
+	return d
+}
+
+// finishRun finalizes the flow once and releases its connection.
+func (b *Background) finishRun() {
+	if b.done {
+		return
+	}
+	end := math.Min(b.net.Now(), b.endAt())
+	b.advancePlayback(end)
+	b.playing = false
+	if b.stallOpen {
+		b.sum.StallCount++
+		b.sum.StallSec += end - b.stallStart
+		b.stallOpen = false
+	}
+	b.sum.TotalBytes = b.totalBytes
+	if b.conn != nil {
+		b.conn.Close()
+	}
+	b.done = true
+}
+
+// backgrounds is the oracle tier: Background flows behind the tier
+// interface the Cohort implements, with per-flow objects in place of
+// the cohort's slabs and a linear deadline scan in place of its heap.
+type backgrounds struct {
+	groupSlot
+	flows    []*Background
+	key      []float64 // member deadline; +Inf while not parked
+	woken    []bool
+	wakeList []int
+	live     int
+	observer func(*Background)
+}
+
+// addBackgrounds registers flows as one oracle tier (after every full
+// session, like AddCohort); observer, when non-nil, is called once per
+// flow as it finishes.
+func (g *Group) addBackgrounds(flows []*Background, observer func(*Background)) error {
+	t := &backgrounds{flows: flows, live: len(flows), observer: observer}
+	for m, b := range flows {
+		if err := g.join(b.net); err != nil {
+			return err
+		}
+		b.ref = tierRef{t: t, idx: m}
+		t.key = append(t.key, math.Inf(1))
+		t.woken = append(t.woken, true) // first round: everyone is serviced once
+		t.wakeList = append(t.wakeList, m)
+	}
+	g.tiers = append(g.tiers, t)
+	return nil
+}
+
+func (t *backgrounds) wakeMember(m int) {
+	if !t.woken[m] {
+		t.woken[m] = true
+		t.wakeList = append(t.wakeList, m)
+	}
+}
+
+func (t *backgrounds) finish(b *Background) {
+	if b.done {
+		return
+	}
+	b.finishRun()
+	t.live--
+	if t.observer != nil {
+		t.observer(b)
+	}
+}
+
+func (t *backgrounds) service(now float64) int {
+	for _, m := range t.wakeList {
+		t.woken[m] = false
+		b := t.flows[m]
+		if b.done {
+			continue
+		}
+		if now < b.startAt-eps {
+			t.key[m] = b.startAt
+			continue
+		}
+		if now >= b.endAt()-eps || b.finished {
+			t.finish(b)
+			t.key[m] = math.Inf(1)
+			continue
+		}
+		b.issueRequests()
+		d := b.nextDeadline(now)
+		if e := b.endAt(); e < d {
+			d = e
+		}
+		t.key[m] = d
+	}
+	t.wakeList = t.wakeList[:0]
+	return t.live
+}
+
+func (t *backgrounds) wakeDue(now float64) {
+	for m, k := range t.key {
+		if k <= now+eps {
+			t.key[m] = math.Inf(1)
+			t.wakeMember(m)
+		}
+	}
+}
+
+func (t *backgrounds) advanceWoken(now float64) {
+	sort.Ints(t.wakeList)
+	for _, m := range t.wakeList {
+		if b := t.flows[m]; !b.done {
+			b.advancePlayback(now)
+		}
+	}
+}
+
+func (t *backgrounds) minKey() float64 {
+	min := math.Inf(1)
+	for _, k := range t.key {
+		min = math.Min(min, k)
+	}
+	return min
+}
+
+func (t *backgrounds) inflightSum() int {
+	s := 0
+	for _, b := range t.flows {
+		if !b.done {
+			s += b.inflight
+		}
+	}
+	return s
+}
+
+func (t *backgrounds) finishAll() {
+	for _, b := range t.flows {
+		t.finish(b)
+	}
+}
+
+func (t *backgrounds) wakeOwner(m int) bool {
+	if t.flows[m].done {
+		return false
+	}
+	t.wakeMember(m)
+	return true
+}
+
+func (t *backgrounds) complete(m int, tr *simnet.Transfer) {
+	if b := t.flows[m]; !b.done {
+		b.onComplete(tr)
+	}
+}
 
 // bgDraw is one drawn cohort member: its config (service template plus
 // per-viewer duration), arrival, and access trace.
@@ -100,10 +503,10 @@ func runAsBackgrounds(t *testing.T, scfg simnet.Config, edge *netem.Profile, dra
 		b := NewBackground(d.cfg, net)
 		b.SetStartAt(d.startAt)
 		b.SetAccessLink(net.NewAccessLink(d.trace))
-		if err := g.AddBackground(b); err != nil {
-			t.Fatal(err)
-		}
 		bgs[i] = b
+	}
+	if err := g.addBackgrounds(bgs, nil); err != nil {
+		t.Fatal(err)
 	}
 	g.Run()
 	out := make([]Summary, len(bgs))
@@ -239,14 +642,16 @@ func TestCohortMixedWithSessions(t *testing.T) {
 						b := NewBackground(d.cfg, net)
 						b.SetStartAt(d.startAt)
 						b.SetAccessLink(net.NewAccessLink(d.trace))
-						if err := g.AddBackground(b); err != nil {
-							t.Fatal(err)
-						}
 						bgs = append(bgs, b)
 					}
 				}
 				if vectorized && c.Len() > 0 {
 					if err := g.AddCohort(c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if len(bgs) > 0 {
+					if err := g.addBackgrounds(bgs, nil); err != nil {
 						t.Fatal(err)
 					}
 				}

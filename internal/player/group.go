@@ -13,17 +13,59 @@ import (
 // fleet cell. Sessions start at t=0 unless scheduled later with
 // Session.SetStartAt, and each runs for its own SessionDuration from its
 // start; the fluid network arbitrates their transfers max-min fairly.
-// A cell may also carry Background flows — the coarse analytic session
-// tier — which compete for the same links as full sessions.
+// A cell may also carry a Cohort — the coarse analytic session tier —
+// whose members compete for the same links as full sessions.
 //
 // A single session's Run is the one-member special case of a Group.
 type Group struct {
-	net         *simnet.Network
-	sessions    []*Session
-	backgrounds []*Background
-	cohorts     []*Cohort
-	observer    func(*Session, *Result)
-	bgObserver  func(*Background)
+	net      *simnet.Network
+	sessions []*Session
+	tiers    []tier
+	observer func(*Session, *Result)
+}
+
+// tier is a background tier the Group drives as one member slot after
+// its full sessions: the Cohort, or the per-flow oracle the tests diff
+// it against. A tier services, advances and completes its own members
+// in ascending member order on its own wake list; the Group keys the
+// slot at the tier's earliest member deadline, so it wakes the tier
+// exactly when the earliest member is due.
+type tier interface {
+	// slot is the Group's bookkeeping on the tier.
+	slot() *groupSlot
+	// service runs the per-member service step over the woken members —
+	// finish those past their end, park the unarrived, let the rest
+	// issue requests and re-key — and returns the live member count.
+	service(now float64) (live int)
+	// wakeDue queues every member whose deadline has arrived.
+	wakeDue(now float64)
+	// advanceWoken syncs the woken members' playback to the clock.
+	advanceWoken(now float64)
+	// minKey is the earliest member deadline (+Inf when none).
+	minKey() float64
+	// inflightSum counts in-flight transfers across live members.
+	inflightSum() int
+	// finishAll finalizes every live member at the current time.
+	finishAll()
+	// wakeOwner queues member m, one of whose transfers just completed,
+	// and reports whether it is still live.
+	wakeOwner(m int) bool
+	// complete books member m's finished transfer.
+	complete(m int, tr *simnet.Transfer)
+}
+
+// groupSlot is the member id a tier holds in the Group run driving it.
+// Tiers embed it.
+type groupSlot struct{ gidx int }
+
+func (s *groupSlot) slot() *groupSlot { return s }
+
+// tierRef identifies one tier member as a transfer's Meta: a pointer
+// into the tier's own slab, so starting a request boxes a pointer (no
+// allocation) and a completion routes back to the member.
+type tierRef struct {
+	t   tier
+	idx int
 }
 
 // NewGroup creates a coordinator; sessions added to it must share one
@@ -33,43 +75,37 @@ func NewGroup() *Group { return &Group{} }
 // Add registers a session. Every member must have been created over the
 // same simnet.Network.
 func (g *Group) Add(s *Session) error {
-	if g.net == nil {
-		g.net = s.net
-	} else if g.net != s.net {
-		return fmt.Errorf("player: all sessions in a group must share one network")
+	if err := g.join(s.net); err != nil {
+		return err
 	}
 	s.ensureResult()
 	g.sessions = append(g.sessions, s)
 	return nil
 }
 
-// AddBackground registers a background flow over the same network.
-func (g *Group) AddBackground(b *Background) error {
-	if g.net == nil {
-		g.net = b.net
-	} else if g.net != b.net {
-		return fmt.Errorf("player: all sessions in a group must share one network")
-	}
-	g.backgrounds = append(g.backgrounds, b)
-	return nil
-}
-
 // AddCohort registers a vectorized background cohort over the same
-// network. The cohort occupies one group member slot; its members are
-// scheduled by the cohort's internal deadline heap in ascending index
-// order — the same order individual Backgrounds added after all full
-// sessions would run in.
+// network. The cohort occupies one group member slot after every full
+// session; its members are scheduled by the cohort's internal deadline
+// heap in ascending index order.
 func (g *Group) AddCohort(c *Cohort) error {
 	if c.Len() == 0 {
 		return fmt.Errorf("player: cohort has no members")
 	}
-	if g.net == nil {
-		g.net = c.net
-	} else if g.net != c.net {
-		return fmt.Errorf("player: all sessions in a group must share one network")
+	if err := g.join(c.net); err != nil {
+		return err
 	}
 	c.freeze()
-	g.cohorts = append(g.cohorts, c)
+	g.tiers = append(g.tiers, c)
+	return nil
+}
+
+// join binds the group to a member's network.
+func (g *Group) join(net *simnet.Network) error {
+	if g.net == nil {
+		g.net = net
+	} else if g.net != net {
+		return fmt.Errorf("player: all sessions in a group must share one network")
+	}
 	return nil
 }
 
@@ -81,10 +117,6 @@ func (g *Group) AddCohort(c *Cohort) error {
 // and must not retain it. Lean sessions reach the observer with a nil
 // Result; their Summary is the output.
 func (g *Group) SetObserver(fn func(*Session, *Result)) { g.observer = fn }
-
-// SetBackgroundObserver registers fn, called exactly once per background
-// flow as it finishes.
-func (g *Group) SetBackgroundObserver(fn func(*Background)) { g.bgObserver = fn }
 
 // groupHeap is an indexed min-heap of member ids keyed by each member's
 // next wake time. pos maps a member id to its heap slot (-1 when
@@ -218,23 +250,18 @@ func (h *groupHeap) swap(i, j int) {
 //vodlint:hotpath — lean-session event loop: one iteration per completed transfer
 func (g *Group) Run() []*Result {
 	nS := len(g.sessions)
-	nB := len(g.backgrounds)
-	nM := nS + nB + len(g.cohorts)
+	nM := nS + len(g.tiers)
 	if nM == 0 {
 		return nil
 	}
 	net := g.net
-	// Member ids: sessions in add order, then backgrounds in add order,
-	// then cohorts (each one slot), so ascending id is exactly the eager
-	// scan order.
+	// Member ids: sessions in add order, then tiers (each one slot), so
+	// ascending id is exactly the eager scan order.
 	for i, s := range g.sessions {
 		s.gidx = i
 	}
-	for j, b := range g.backgrounds {
-		b.gidx = nS + j
-	}
-	for k, c := range g.cohorts {
-		c.gidx = nS + nB + k
+	for k, t := range g.tiers {
+		t.slot().gidx = nS + k
 	}
 	var h groupHeap
 	h.init(nM)
@@ -258,68 +285,40 @@ func (g *Group) Run() []*Result {
 		now := net.Now()
 		for _, id := range wake {
 			woken[id] = false
-			if id < nS {
-				s := g.sessions[id]
-				if s.done {
-					continue
-				}
-				if now < s.startAt-eps {
-					h.set(id, s.startAt)
-					continue
-				}
-				if now >= s.endAt()-eps || s.finished {
-					g.finish(s)
+			if id >= nS {
+				// A tier services its woken members internally and re-keys
+				// in the group heap at its earliest internal deadline; it
+				// leaves `remaining` when its last member finishes (a tier
+				// with no live member is never woken again).
+				t := g.tiers[id-nS]
+				if t.service(now) == 0 {
 					h.remove(id)
 					remaining--
-					continue
-				}
-				s.issueRequests()
-				d := s.nextDeadline()
-				if e := s.endAt(); e < d {
-					d = e
-				}
-				h.set(id, d)
-			} else if id < nS+nB {
-				b := g.backgrounds[id-nS]
-				if b.done {
-					continue
-				}
-				if now < b.startAt-eps {
-					h.set(id, b.startAt)
-					continue
-				}
-				if now >= b.endAt()-eps || b.finished {
-					g.finishBackground(b)
-					h.remove(id)
-					remaining--
-					continue
-				}
-				b.issueRequests()
-				d := b.nextDeadline(now)
-				if e := b.endAt(); e < d {
-					d = e
-				}
-				h.set(id, d)
-			} else {
-				// A cohort services its woken members internally (same
-				// per-member steps as the background branch above) and
-				// re-keys in the group heap at its earliest internal
-				// deadline; it leaves `remaining` when its last member
-				// finishes.
-				c := g.cohorts[id-nS-nB]
-				if c.live > 0 {
-					c.service(now)
-				}
-				if c.live == 0 {
-					if !c.retired {
-						c.retired = true
-						h.remove(id)
-						remaining--
-					}
 				} else {
-					h.set(id, c.minKey())
+					h.set(id, t.minKey())
 				}
+				continue
 			}
+			s := g.sessions[id]
+			if s.done {
+				continue
+			}
+			if now < s.startAt-eps {
+				h.set(id, s.startAt)
+				continue
+			}
+			if now >= s.endAt()-eps || s.finished {
+				g.finish(s)
+				h.remove(id)
+				remaining--
+				continue
+			}
+			s.issueRequests()
+			d := s.nextDeadline()
+			if e := s.endAt(); e < d {
+				d = e
+			}
+			h.set(id, d)
 		}
 		wake = wake[:0]
 		if remaining == 0 {
@@ -335,13 +334,8 @@ func (g *Group) Run() []*Result {
 					inflight += s.inflight
 				}
 			}
-			for _, b := range g.backgrounds {
-				if !b.done {
-					inflight += b.inflight
-				}
-			}
-			for _, c := range g.cohorts {
-				inflight += c.inflightSum()
+			for _, t := range g.tiers {
+				inflight += t.inflightSum()
 			}
 			if inflight == 0 {
 				for _, s := range g.sessions {
@@ -349,13 +343,8 @@ func (g *Group) Run() []*Result {
 						g.finish(s)
 					}
 				}
-				for _, b := range g.backgrounds {
-					if !b.done {
-						g.finishBackground(b)
-					}
-				}
-				for _, c := range g.cohorts {
-					c.finishAll()
+				for _, t := range g.tiers {
+					t.finishAll()
 				}
 				break
 			}
@@ -370,11 +359,11 @@ func (g *Group) Run() []*Result {
 		// add order (insertion sort: batches are tiny and nearly sorted).
 		for h.len() > 0 && h.minKey() <= tnow+eps {
 			id := h.popMin()
-			if id >= nS+nB {
-				// The cohort's group key is its internal minimum, so at
+			if id >= nS {
+				// The tier's group key is its internal minimum, so at
 				// least one member is due: move every due member onto
-				// the cohort's own wake list.
-				g.cohorts[id-nS-nB].wakeDue(tnow)
+				// the tier's own wake list.
+				g.tiers[id-nS].wakeDue(tnow)
 			}
 			addWake(id)
 		}
@@ -384,14 +373,9 @@ func (g *Group) Run() []*Result {
 				if m.owner != nil && !m.owner.done {
 					addWake(m.owner.gidx)
 				}
-			case *Background:
-				if !m.done {
-					addWake(m.gidx)
-				}
-			case *cohortRef:
-				if !m.c.memberDone(m.idx) {
-					m.c.wakeMember(m.idx)
-					addWake(m.c.gidx)
+			case *tierRef:
+				if m.t.wakeOwner(m.idx) {
+					addWake(m.t.slot().gidx)
 				}
 			}
 		}
@@ -407,16 +391,10 @@ func (g *Group) Run() []*Result {
 		// their deadline keys are absolute times that stay valid while
 		// their control state is untouched.
 		for _, id := range wake {
-			if id < nS {
-				if s := g.sessions[id]; !s.done {
-					s.advancePlayback(tnow)
-				}
-			} else if id < nS+nB {
-				if b := g.backgrounds[id-nS]; !b.done {
-					b.advancePlayback(tnow)
-				}
-			} else {
-				g.cohorts[id-nS-nB].advanceWoken(tnow)
+			if id >= nS {
+				g.tiers[id-nS].advanceWoken(tnow)
+			} else if s := g.sessions[id]; !s.done {
+				s.advancePlayback(tnow)
 			}
 		}
 		for _, tr := range completed {
@@ -426,14 +404,8 @@ func (g *Group) Run() []*Result {
 					m.owner.onComplete(tr)
 				}
 				// else: abandoned session; ignore the straggler
-			case *Background:
-				if !m.done {
-					m.onComplete(tr)
-				}
-			case *cohortRef:
-				if !m.c.memberDone(m.idx) {
-					m.c.onComplete(m.idx, tr)
-				}
+			case *tierRef:
+				m.t.complete(m.idx, tr)
 			}
 			net.Recycle(tr)
 		}
@@ -459,18 +431,6 @@ func (g *Group) finish(s *Session) {
 	if g.observer != nil {
 		g.observer(s, s.res)
 		s.res = nil
-	}
-}
-
-// finishBackground finalizes a background flow once and notifies its
-// observer.
-func (g *Group) finishBackground(b *Background) {
-	if b.done {
-		return
-	}
-	b.finishRun()
-	if g.bgObserver != nil {
-		g.bgObserver(b)
 	}
 }
 

@@ -154,11 +154,10 @@ func TestBackgroundFlowSmoke(t *testing.T) {
 		SessionDuration: 650,
 	}, net)
 	g := NewGroup()
-	if err := g.AddBackground(b); err != nil {
+	finished := 0
+	if err := g.addBackgrounds([]*Background{b}, func(*Background) { finished++ }); err != nil {
 		t.Fatal(err)
 	}
-	finished := 0
-	g.SetBackgroundObserver(func(*Background) { finished++ })
 	g.Run()
 	if finished != 1 {
 		t.Fatalf("background observer fired %d times", finished)
@@ -199,7 +198,7 @@ func TestBackgroundCompetesForLink(t *testing.T) {
 			MediaDuration:   600,
 			SessionDuration: 600,
 		}, net)
-		if err := g.AddBackground(b); err != nil {
+		if err := g.addBackgrounds([]*Background{b}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if withSession {

@@ -3,7 +3,6 @@ package player
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/adaptation"
 	"repro/internal/cdn"
@@ -24,7 +23,6 @@ type Session struct {
 	cfg  Config
 	org  *origin.Origin
 	pres *manifest.Presentation // server truth (has sizes)
-	view *manifest.Presentation // client view (sizes only if protocol exposes them)
 	net  *simnet.Network
 
 	conns []*simnet.Conn
@@ -156,7 +154,6 @@ func NewSession(cfg Config, org *origin.Origin, net *simnet.Network) (*Session, 
 		cfg:            cfg,
 		org:            org,
 		pres:           org.Pres,
-		view:           clientView(org.Pres),
 		net:            net,
 		conns:          make([]*simnet.Conn, cfg.MaxConnections),
 		live:           make([]*reqMeta, cfg.MaxConnections),
@@ -174,20 +171,25 @@ func NewSession(cfg Config, org *origin.Origin, net *simnet.Network) (*Session, 
 	s.sumPrevTrack = -1
 	// The adaptation context inputs that never change over a session are
 	// computed once instead of per segment decision.
-	avgs := make([]float64, 0, len(s.view.Video))
-	for _, r := range s.view.Video {
+	avgs := make([]float64, 0, len(s.pres.Video))
+	for _, r := range s.pres.Video {
 		if r.AverageBitrate > 0 {
 			avgs = append(avgs, r.AverageBitrate)
 		}
 	}
-	if len(avgs) == len(s.view.Video) {
+	if len(avgs) == len(s.pres.Video) {
 		s.avgBitrates = avgs
 	}
-	if cfg.ExposeSegmentSizes && len(s.view.Video) > 0 && len(s.view.Video[0].Segments) > 0 &&
-		s.view.Video[0].Segments[0].Size > 0 {
-		view := s.view
+	// Per-segment sizes reach the client before download only when the
+	// protocol carries them (byte ranges in the manifest or a sidx);
+	// plain HLS URLs and SmoothStreaming templates carry no size
+	// information (§4.2).
+	exposes := s.pres.Addressing == manifest.RangesInManifest || s.pres.Addressing == manifest.SidxRanges
+	if cfg.ExposeSegmentSizes && exposes && len(s.pres.Video) > 0 && len(s.pres.Video[0].Segments) > 0 &&
+		s.pres.Video[0].Segments[0].Size > 0 {
+		pres := s.pres
 		s.segSizeFn = func(track, index int) float64 {
-			return float64(view.Video[track].Segments[index].Size)
+			return float64(pres.Video[track].Segments[index].Size)
 		}
 	}
 	s.pendingSeeks = append([]SeekEvent(nil), cfg.Seeks...)
@@ -267,48 +269,6 @@ func (s *Session) ensureResult() {
 
 // endAt is the wall time the session's duration budget expires.
 func (s *Session) endAt() float64 { return s.startAt + s.cfg.SessionDuration }
-
-// viewCache memoizes clientView per presentation: the view is read-only,
-// and experiments run thousands of sessions against a handful of shared
-// presentations, so cloning the segment tables per session was one of the
-// top allocators. Keyed by pointer; concurrent sessions may race to build
-// the first view and LoadOrStore keeps exactly one.
-var viewCache sync.Map // *manifest.Presentation -> *manifest.Presentation
-
-// clientView returns the shared client-side view of a presentation,
-// hiding per-segment sizes when the protocol does not expose them before
-// download (plain HLS URLs and SmoothStreaming templates carry no size
-// information; §4.2). The result is shared across sessions and must not
-// be mutated.
-func clientView(p *manifest.Presentation) *manifest.Presentation {
-	if v, ok := viewCache.Load(p); ok {
-		return v.(*manifest.Presentation)
-	}
-	v, _ := viewCache.LoadOrStore(p, buildClientView(p))
-	return v.(*manifest.Presentation)
-}
-
-func buildClientView(p *manifest.Presentation) *manifest.Presentation {
-	exposes := p.Addressing == manifest.RangesInManifest || p.Addressing == manifest.SidxRanges
-	cp := *p
-	strip := func(rs []*manifest.Rendition) []*manifest.Rendition {
-		out := make([]*manifest.Rendition, len(rs))
-		for i, r := range rs {
-			rr := *r
-			rr.Segments = append([]manifest.Segment(nil), r.Segments...)
-			if !exposes {
-				for j := range rr.Segments {
-					rr.Segments[j].Size = 0
-				}
-			}
-			out[i] = &rr
-		}
-		return out
-	}
-	cp.Video = strip(p.Video)
-	cp.Audio = strip(p.Audio)
-	return &cp
-}
 
 func (s *Session) buildDocQueue() {
 	p := s.pres

@@ -435,8 +435,12 @@ func TestTemplateAddressingSession(t *testing.T) {
 	if res.StartupDelay < 0 || res.TotalStall() > 0 {
 		t.Fatalf("startup %.1f stalls %.1f", res.StartupDelay, res.TotalStall())
 	}
-	// The client view stripped the sizes even though config asked.
-	if s := clientView(org.Pres); s.Video[0].Segments[0].Size != 0 {
+	// The client sees no sizes even though config asked.
+	sess, err := NewSession(cfg, org, simnet.New(simnet.DefaultConfig(), netem.Constant("c", 3e6, 300)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.segSizeFn != nil {
 		t.Fatal("template addressing leaked sizes to the client")
 	}
 }

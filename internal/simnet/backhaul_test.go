@@ -9,8 +9,8 @@ import (
 
 // These tests pin the upstream-role AccessLink semantics the cdn tier
 // builds on: StartVia's extra first-byte latency and the even-split
-// backhaul cap that cache misses share — across all three engines,
-// since the upstream fold runs inside each engine's recompute.
+// backhaul cap that cache misses share — on both engines and the scan
+// oracle, since the upstream fold runs inside each engine's recompute.
 
 // TestStartViaExtraLatency: a cache-miss transfer pays the extra
 // latency before its first byte, nothing else changes.
@@ -29,16 +29,14 @@ func TestStartViaExtraLatency(t *testing.T) {
 // with ample edge and access capacity, sharing one 8 Mbit/s upstream
 // link: the backhaul cap halves their rates.
 func TestBackhaulEvenSplit(t *testing.T) {
-	for _, engine := range []Engine{EngineScan, EngineVTime, EngineCell} {
-		cfg := cfgNoRamp()
-		cfg.Engine = engine
-		n := New(cfg, netem.Constant("edge", 100e6, 100))
+	for _, engine := range []Engine{engineScan, EngineVTime, EngineCell} {
+		n, stepFn := newEngineNet(cfgNoRamp(), netem.Constant("edge", 100e6, 100), engine)
 		backhaul := n.NewAccessLink(netem.Constant("backhaul", 8e6, 100))
 		a := n.Dial().StartVia(1e6, 0, backhaul, nil)
 		b := n.Dial().StartVia(1e6, 0, backhaul, nil)
 		var done int
 		for done < 2 {
-			done += len(n.Step(100))
+			done += len(stepFn(100))
 		}
 		// 0.2 s latency + 1e6 bytes at 0.5 MB/s each = 2.2 s.
 		if math.Abs(a.Completed-2.2) > 1e-6 || math.Abs(b.Completed-2.2) > 1e-6 {

@@ -8,12 +8,12 @@ import (
 // The cell engine: EngineCell's anchored-flow event loop.
 //
 // A fleet cell is many mostly-idle clients behind one constant-capacity
-// edge link, each throttled by its own 1 Hz cellular access trace. The
-// scan engine (scanStepOnce) is already O(F) per event, but it must wake
-// at every profile sample boundary — including the edge profile's, whose
-// samples never change — and it materializes every flow's delivery at
-// every event, splitting each constant-rate stretch into one float
-// accumulation per boundary.
+// edge link, each throttled by its own 1 Hz cellular access trace. An
+// eager O(F) engine (the scan oracle kept in the package tests) must
+// wake at every profile sample boundary — including the edge profile's,
+// whose samples never change — and it materializes every flow's
+// delivery at every event, splitting each constant-rate stretch into one
+// float accumulation per boundary.
 //
 // The cell engine removes both costs while staying event-exact:
 //
@@ -58,7 +58,7 @@ import (
 //     deadline, or a flow-count handoff to the virtual-time engine.
 //
 // Rates themselves are computed by the same progressive water-filling as
-// the scan engine (allocate), with the all-capped fast path: when every
+// the scan oracle (cellAllocate), with the all-capped fast path: when every
 // flowing connection is capped and the caps sum below the edge capacity
 // — the common state of a cell, where the access links are the
 // bottleneck — max-min assigns every flow exactly its cap, no sort
@@ -67,12 +67,12 @@ import (
 // The rate trajectory rate_i(t) is identical to the eager formulation;
 // only the instants where progress is folded into `remaining` differ
 // (fewer, longer constant-rate stretches), so completion times agree
-// with the scan engine within float accumulation order — the same
+// with the scan oracle within float accumulation order — the same
 // tolerance contract the vtime engine carries.
 //
 // Above vtimeEnter flowing transfers the network hands the flows to the
-// virtual-time engine exactly as EngineAuto does (hotspot cells), and the
-// cell engine takes them back below vtimeExit.
+// virtual-time engine (hotspot cells), and the cell engine takes them
+// back below vtimeExit.
 
 // enterCell turns the anchored engine on: every flowing transfer is
 // re-anchored at the current instant and the next event recomputes rates.
@@ -97,7 +97,6 @@ func (n *Network) exitCell() {
 		tr.Conn.syncGrow(n.now)
 		n.cellMaterialize(tr)
 	}
-	n.allocDirty = true
 	n.cmode = false
 }
 
@@ -323,14 +322,32 @@ func (n *Network) cellReallocFull() {
 	}
 }
 
-// cellAllocate is allocate with the effective caps read from the
-// tr.cap memo the caller just refreshed (cellReallocFull) instead of
-// recomputed per flow: same paths, same arithmetic, same order.
+// smallSortLen is the largest slice length for which sort.Slice is an
+// insertion sort (and therefore stable); see the pdqsort cutoff in the
+// standard library. Up to this length cellAllocate sorts caps with its
+// own allocation-free insertion sort — the exact same permutation,
+// including for ties — and the uncapped fast path may skip sorting
+// entirely (stability makes the sorted order the connection order).
+// Beyond it the reference used pdqsort, whose tie order is unspecified,
+// so cellAllocate calls sort.Slice itself to stay bit-identical (no
+// shipped experiment has that many concurrent flows).
+const smallSortLen = 12
+
+// cellAllocate distributes capacity (bytes/s) over the flowing
+// transfers using max-min fairness under their cached effective caps
+// (tr.cap, which the caller just refreshed) by progressive water
+// filling. Two allocation-free fast paths cover the dominant cases; the
+// general path insertion-sorts a reused scratch slice. All paths produce
+// bit-identical rates (asserted by TestAllocateFastPathsMatchGeneral):
+// ascending cap, ties in connection order, with the same sequential
+// share arithmetic as the reference implementation.
 //
 //vodlint:hotpath — cell-engine water-filling: runs when the all-capped fast path does not apply
 func (n *Network) cellAllocate(capacity float64) {
 	flowing := n.flowing
 
+	// Fast path: a single flow takes the whole link up to its cap
+	// (capacity/1 is exact, so this equals the general path).
 	if len(flowing) == 1 {
 		tr := flowing[0]
 		r := tr.cap

@@ -2,11 +2,11 @@ package simnet
 
 // Differential and property tests for the cell engine (cellengine.go).
 //
-// The cell engine computes the same max-min rates as the scan engine but
+// The cell engine computes the same max-min rates as the scan oracle but
 // anchors flow progress between rate changes and wakes only on profile
 // VALUE changes (netem NextChange), not on every sample boundary. Like
 // the vtime suite, the differential contract is tolerance-bounded on
-// completion times (the scan engine declares completion with up to
+// completion times (the scan oracle declares completion with up to
 // epsBytes remaining; the cell engine completes exactly) plus exact
 // structural requirements: same transfers complete, per-engine byte
 // conservation holds, and — stronger than either other engine — a
@@ -42,7 +42,7 @@ func TestCellEquivalenceSeeded(t *testing.T) {
 			linkP := netem.Constant("access", 4e6, 7)
 			cfg := randomConfig(rng)
 			ops := buildWorkload(rng, nconn, nlinks, 80)
-			scan := runWorkload(t, cfg, p, linkP, EngineScan, ops, nconn, nlinks)
+			scan := runWorkload(t, cfg, p, linkP, engineScan, ops, nconn, nlinks)
 			cell := runWorkload(t, cfg, p, linkP, EngineCell, ops, nconn, nlinks)
 			checkConservation(t, scan, "scan")
 			checkConservation(t, cell, "cell")
@@ -66,7 +66,7 @@ func TestCellCellularTraceEquivalence(t *testing.T) {
 			cfg := DefaultConfig()
 			nconn := 4 + rng.Intn(24)
 			ops := buildWorkload(rng, nconn, 3, 60)
-			scan := runWorkload(t, cfg, edge, linkP, EngineScan, ops, nconn, 3)
+			scan := runWorkload(t, cfg, edge, linkP, engineScan, ops, nconn, 3)
 			cell := runWorkload(t, cfg, edge, linkP, EngineCell, ops, nconn, 3)
 			checkConservation(t, scan, "scan")
 			checkConservation(t, cell, "cell")
@@ -113,7 +113,7 @@ func TestCellExactResidualFold(t *testing.T) {
 // TestCellVTimeHandoff drives EngineCell through both hysteresis
 // crossings — a fan-in spike past vtimeEnter hands the flows to the
 // virtual-time engine, a drain below vtimeExit takes them back — and
-// requires the outcome to match EngineScan within tolerance.
+// requires the outcome to match the scan oracle within tolerance.
 func TestCellVTimeHandoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	p := randomProfile(rng)
@@ -134,7 +134,7 @@ func TestCellVTimeHandoff(t *testing.T) {
 	}
 	ops = append(ops, workloadOp{kind: 2, until: 4000})
 
-	scan := runWorkload(t, cfg, p, nil, EngineScan, ops, nconn, 0)
+	scan := runWorkload(t, cfg, p, nil, engineScan, ops, nconn, 0)
 
 	cfg.Engine = EngineCell
 	n := New(cfg, p)
@@ -271,26 +271,24 @@ func TestCellHotPathZeroAlloc(t *testing.T) {
 
 // BenchmarkCellIdleBoundaries measures the NextChange win in isolation:
 // one small transfer at the start of a long horizon on a constant edge.
-// The scan engine wakes at every one of the ~1000 sample boundaries;
+// The scan oracle wakes at every one of the ~1000 sample boundaries;
 // the cell engine sees zero profile events and jumps straight through.
 func BenchmarkCellIdleBoundaries(b *testing.B) {
 	for _, eng := range []struct {
 		name string
 		e    Engine
-	}{{"scan", EngineScan}, {"cell", EngineCell}} {
+	}{{"scan", engineScan}, {"cell", EngineCell}} {
 		b.Run(eng.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Engine = eng.e
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				n := New(cfg, netem.Constant("edge", 10e6, 1000))
+				n, stepFn := newEngineNet(DefaultConfig(), netem.Constant("edge", 10e6, 1000), eng.e)
 				c := n.Dial()
 				c.Start(1e6, nil)
 				for done := 0; done < 1; {
-					done += len(n.Step(1e9))
+					done += len(stepFn(1e9))
 				}
-				n.Step(1000) // idle tail across the rest of the horizon
+				stepFn(1000) // idle tail across the rest of the horizon
 			}
 		})
 	}

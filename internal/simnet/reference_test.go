@@ -3,10 +3,10 @@ package simnet
 // The reference implementation: the pre-event-engine simulator, kept
 // verbatim (rebuild the flowing set and re-sort caps every
 // constant-rate interval, query the profile directly). The differential
-// tests below drive it and the incremental engine through identical
-// randomized workloads and require every observable — clock, delivered
-// bytes, completion order and times, remaining bytes — to match
-// bit-for-bit, which is the property the engine rewrite promised.
+// tests below drive it and the scan oracle (scanengine_test.go) through
+// identical randomized workloads and require every observable — clock,
+// delivered bytes, completion order and times, remaining bytes — to
+// match bit-for-bit.
 //
 // Workloads keep at most 8 concurrent connections: within sort.Slice's
 // insertion-sort regime (stable ties) the reference permutation is fully
@@ -290,7 +290,7 @@ type pairState struct {
 	rt *refTransfer
 }
 
-// TestDifferentialVsReference drives the incremental engine and the
+// TestDifferentialVsReference drives the scan oracle and the
 // reference implementation through the same randomized workloads —
 // starts, idle gaps, closes and redials, deadline steps — and requires
 // exact equality of every observable after every event.
@@ -336,7 +336,7 @@ func TestDifferentialVsReference(t *testing.T) {
 
 			stepBoth := func(until float64) {
 				for {
-					done := n.Step(until)
+					done := n.stepScan(until)
 					rdone := rn.Step(until)
 					if len(done) != len(rdone) {
 						t.Fatalf("step(%v): %d completions != ref %d", until, len(done), len(rdone))
@@ -388,8 +388,8 @@ func TestDifferentialVsReference(t *testing.T) {
 	}
 }
 
-// TestAllocateFastPathsMatchGeneral pins the fast paths in allocate —
-// single flow, and all-uncapped without sorting — to the reference
+// TestAllocateFastPathsMatchGeneral pins the fast paths in cellAllocate
+// — single flow, and all-uncapped without sorting — to the reference
 // water-filling, exercising ties, static caps, zero and tiny capacity.
 func TestAllocateFastPathsMatchGeneral(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -414,13 +414,13 @@ func TestAllocateFastPathsMatchGeneral(t *testing.T) {
 				c.capBps, rc.capBps = 3e5, 3e5
 				c.staticCap, rc.staticCap = 2.5e5, 2.5e5
 			}
-			tr := &Transfer{Conn: c, pos: i}
+			tr := &Transfer{Conn: c, pos: i, cap: c.effCap()}
 			flowing[i] = tr
 			ref[i] = &refTransfer{conn: rc}
 		}
 		n.flowing = flowing
 		capacity := []float64{0, 1, 1e5, 1.237e6, 5e6}[rng.Intn(5)]
-		n.allocate(capacity)
+		n.cellAllocate(capacity)
 		refAllocate(capacity, ref)
 		for i := range flowing {
 			if flowing[i].Rate() != ref[i].rate {

@@ -12,33 +12,32 @@
 // (slow-start-after-idle), which is what separates "persistent" from
 // "non-persistent" services beyond the handshake (§3.2).
 //
-// # Engine
+// # Engines
 //
-// Step is an incremental event engine. The flowing-transfer set is
-// maintained across intervals — a transfer enters it when its first byte
-// arrives (FlowAt) and leaves on completion or connection close — instead
-// of being rebuilt from the connection list every constant-rate interval.
-// Max-min water-filling reruns only when the flowing set, a connection
-// cap, or the link capacity actually changed; between such events the
-// previously computed rates stay valid. Profile lookups go through a
-// monotone netem.Cursor, so bandwidth queries are O(1) amortised over a
-// forward simulation. The hot path performs no heap allocations:
-// scratch buffers are reused across intervals and completed Transfer
-// objects can be returned to a free list with Recycle.
+// Step runs one engine per flow-count regime. Below vtimeEnter flowing
+// transfers the cell engine (cellengine.go) owns the flows: the
+// flowing-transfer set is maintained across events — a transfer enters
+// it when its first byte arrives (FlowAt) and leaves on completion or
+// connection close — flow progress is anchored between rate changes,
+// and max-min water-filling reruns only when the flowing set, a
+// connection cap, or the link capacity actually changed. At or above
+// vtimeEnter the virtual-time engine (vtime.go) takes over in O(log F)
+// per event, handing the flows back below vtimeExit. Profile lookups go
+// through a monotone netem.Cursor, so bandwidth queries are O(1)
+// amortised over a forward simulation. The hot path performs no heap
+// allocations: scratch buffers are reused across events and completed
+// Transfer objects can be returned to a free list with Recycle.
 //
-// Everything the engine does is bit-identical to the straightforward
-// rebuild-and-sort-every-interval formulation (kept as the reference
-// implementation in the package's tests): the flowing set is ordered by
-// connection dial order exactly as the rebuild produced it, water-filling
-// applies the same arithmetic in the same order (ascending cap, stable
-// for ties), and skipped recomputations would have produced the values
-// already in place.
+// The package's tests keep two oracles: the straightforward
+// rebuild-and-sort-every-interval formulation, and an eager O(F)-scan
+// engine that is bit-identical to it and additionally models access and
+// upstream links. Both production engines agree with the scan oracle up
+// to float accumulation order.
 package simnet
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/netem"
 )
@@ -72,7 +71,7 @@ type Config struct {
 	// shared link alone makes split points irrelevant.
 	ConnCapSequence []float64
 	// Engine selects the Step event engine (see the Engine constants).
-	// The zero value, EngineAuto, picks per flow count.
+	// The zero value, EngineCell, picks per flow count.
 	Engine Engine
 }
 
@@ -80,40 +79,29 @@ type Config struct {
 type Engine int
 
 const (
-	// EngineAuto switches on flow count: the O(F)-scan engine below
-	// vtimeEnter flowing transfers, the O(log F) virtual-time engine at
-	// or above it, with hysteresis (vtimeExit) so workloads hovering
-	// near the threshold don't thrash between engines. Every workload
-	// that stays below the threshold is bit-identical to EngineScan.
-	EngineAuto Engine = iota
-	// EngineScan forces the incremental scan engine: O(F) per event,
-	// bit-identical to the PR 3 reference formulation.
-	EngineScan
-	// EngineVTime forces the virtual-service-time (fair-queuing) engine:
-	// O(log F) per event, equivalent to EngineScan up to float
-	// accumulation order (see the differential tests).
+	// EngineCell, the default, runs the anchored-flow cell engine
+	// (cellengine.go) below vtimeEnter flowing transfers: flow progress
+	// is a (rate, anchor-time) pair materialized only when rates actually
+	// change, and profile sample boundaries where the value does not
+	// change generate no events at all — a constant edge profile is
+	// event-free, and idle seconds cost nothing. At vtimeEnter flowing
+	// transfers it hands the flows to the virtual-time engine and takes
+	// them back below vtimeExit, a hysteresis that keeps workloads
+	// hovering near the threshold from thrashing between engines.
+	EngineCell Engine = iota
+	// EngineVTime forces the virtual-service-time (fair-queuing) engine
+	// at every flow count: O(log F) per event.
 	EngineVTime
-	// EngineCell selects the anchored-flow engine built for fleet cells
-	// (cellengine.go): flow progress is a (rate, anchor-time) pair
-	// materialized only when rates actually change, and profile sample
-	// boundaries where the value does not change generate no events at
-	// all — a constant edge profile is event-free, and idle-cell seconds
-	// cost nothing. Equivalent to EngineScan up to float accumulation
-	// order (delivery is accumulated in one multiply per constant-rate
-	// stretch instead of one per boundary). Above vtimeEnter flowing
-	// transfers it hands off to the virtual-time engine exactly as
-	// EngineAuto does, and takes the flows back below vtimeExit.
-	EngineCell
 )
 
 const (
-	// vtimeEnter is the flowing-transfer count at which EngineAuto
+	// vtimeEnter is the flowing-transfer count at which EngineCell
 	// switches to the virtual-time engine. High enough that every
-	// experiment workload (≤ a dozen concurrent flows) stays on the
-	// bit-exact scan engine.
+	// experiment workload (≤ a dozen concurrent flows) stays on the cell
+	// engine.
 	vtimeEnter = 40
-	// vtimeExit is the active-flow count at which EngineAuto switches
-	// back to the scan engine.
+	// vtimeExit is the active-flow count at which EngineCell switches
+	// back to the cell engine.
 	vtimeExit = 12
 )
 
@@ -418,9 +406,8 @@ type Network struct {
 	flowing  []*Transfer     // first byte arrived, ordered by Conn.seq (dial order)
 	pendHeap fheap[Transfer] // latency not yet elapsed, keyed by FlowAt
 	links    []*AccessLink   // access links with at least one flowing transfer
-	// Water-filling memo: rates stored on the flowing transfers stay
-	// valid until the flowing set, a cap, or the capacity changes.
-	allocDirty   bool
+	// lastCapacity is the edge capacity (bytes/s) the current rates were
+	// water-filled under.
 	lastCapacity float64
 
 	// Virtual-time engine (vtime.go); vmode reports which engine owns
@@ -447,7 +434,7 @@ type Network struct {
 	numUncapped  int         // flowing transfers whose cached cap is +Inf
 	dirtyFlows   []*Transfer // scratch: flows to re-rate, cleared every event
 
-	items     []capItem   // scratch for allocate
+	items     []capItem   // scratch for cellAllocate
 	completed []*Transfer // scratch returned by Step; valid until the next Step
 	free      []*Transfer // Recycle'd Transfer objects awaiting reuse
 }
@@ -686,7 +673,6 @@ func (n *Network) insertFlowing(tr *Transfer) {
 		n.flowing[j].pos = j
 	}
 	n.linkAttach(tr)
-	n.allocDirty = true
 	if n.cmode {
 		// Queue the new flow for rating unconditionally (its recycled cap,
 		// rate and finish time are blank) and refresh its link siblings'
@@ -722,7 +708,6 @@ func (n *Network) removeFlowing(tr *Transfer) {
 	}
 	tr.pos = -1
 	n.linkDetach(tr)
-	n.allocDirty = true
 	if n.cmode {
 		n.cellCapSub(tr.cap)
 		if n.ratesAreCaps {
@@ -779,13 +764,10 @@ func (n *Network) Step(until float64) []*Transfer {
 	for n.now < until {
 		n.autoShift()
 		var completed []*Transfer
-		switch {
-		case n.vmode:
+		if n.vmode {
 			completed = n.vStepOnce(until)
-		case n.cmode:
+		} else {
 			completed = n.cellStepOnce(until)
-		default:
-			completed = n.scanStepOnce(until)
 		}
 		if len(completed) > 0 {
 			return completed
@@ -794,261 +776,25 @@ func (n *Network) Step(until float64) []*Transfer {
 	return nil
 }
 
-// autoShift applies the engine-selection policy before each event. With
-// EngineAuto the switch is hysteretic: enter virtual time at vtimeEnter
-// flowing transfers, leave at vtimeExit active flows, so a workload
-// hovering around the threshold doesn't pay the switch cost per event.
+// autoShift applies the engine-selection policy before each event:
+// EngineVTime stays in virtual time; EngineCell starts on the cell
+// engine, enters virtual time at vtimeEnter flowing transfers and
+// returns to the cell engine at vtimeExit active flows.
 func (n *Network) autoShift() {
-	switch n.cfg.Engine {
-	case EngineScan:
-		if n.vmode {
-			n.exitVTime()
-		}
-	case EngineVTime:
+	switch {
+	case n.cfg.Engine == EngineVTime:
 		if !n.vmode {
 			n.enterVTime()
 		}
-	case EngineCell:
-		// Same hysteresis as EngineAuto, with the cell engine playing the
-		// scan engine's role below the threshold.
-		switch {
-		case n.vmode:
-			if n.v.active() <= vtimeExit {
-				n.exitVTime()
-				n.enterCell()
-			}
-		case !n.cmode:
+	case n.vmode:
+		if n.v.active() <= vtimeExit {
+			n.exitVTime()
 			n.enterCell()
-		case len(n.flowing) >= vtimeEnter:
-			n.exitCell()
-			n.enterVTime()
 		}
-	default:
-		if n.vmode {
-			if n.v.active() <= vtimeExit {
-				n.exitVTime()
-			}
-		} else if len(n.flowing) >= vtimeEnter {
-			n.enterVTime()
-		}
+	case !n.cmode:
+		n.enterCell()
+	case len(n.flowing) >= vtimeEnter:
+		n.exitCell()
+		n.enterVTime()
 	}
-}
-
-// scanStepOnce advances the scan engine by one event and returns any
-// completions (nil when the event was not a completion). One iteration
-// of the PR 3 loop, bit-identical to the reference formulation.
-//
-//vodlint:hotpath — scan-engine event: O(F) per event below the vtime threshold
-func (n *Network) scanStepOnce(until float64) []*Transfer {
-	const epsBytes = 1e-6
-	n.promote()
-
-	// Next state-change event: the deadline, a pending transfer's
-	// first byte, a slow-start window doubling, a bandwidth boundary
-	// in the edge profile, or one in an active access link's profile.
-	// The same pass refreshes each access link's cached rate at the
-	// current time — all reads happen at n.now and each active link is
-	// visited exactly once, so the refresh is order-independent.
-	next := until
-	if k := n.pendHeap.MinKey(); k < next {
-		next = k
-	}
-	for _, tr := range n.flowing {
-		c := tr.Conn
-		if c.InSlowStart() && c.nextGrow < next {
-			next = c.nextGrow
-		}
-	}
-	for _, l := range n.links {
-		if b := l.cursor.NextBoundary(n.now); b < next {
-			next = b
-		}
-		// Exact comparison on purpose: an unchanged piecewise-constant
-		// sample means the memoized rates are still valid; any real
-		// profile change flips the sample value exactly (same idiom as
-		// lastCapacity below).
-		if r := l.cursor.At(n.now); r != l.rateBps { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-			l.rateBps = r
-			n.allocDirty = true
-		}
-	}
-	if b := n.cursor.NextBoundary(n.now); b < next {
-		next = b
-	}
-
-	if len(n.flowing) == 0 {
-		n.now = next
-		n.grow()
-		return nil
-	}
-
-	// Allocate rates max-min fairly under the connection caps —
-	// but only if something changed since the last water-filling.
-	capacity := n.cursor.At(n.now) / 8 // bytes/s
-	// Exact comparison on purpose: an unchanged piecewise-constant
-	// capacity yields bit-identical rates, so recomputation is pure
-	// waste; any real profile change flips the sample value exactly.
-	if n.allocDirty || capacity != n.lastCapacity { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
-		n.allocate(capacity)
-		n.lastCapacity = capacity
-		n.allocDirty = false
-	}
-
-	// Earliest completion in this constant-rate interval.
-	tEvent := next
-	for _, tr := range n.flowing {
-		if tr.rate > 0 {
-			if tDone := n.now + tr.remaining/tr.rate; tDone < tEvent {
-				tEvent = tDone
-			}
-		}
-	}
-	if tEvent <= n.now {
-		// Degenerate interval (floating point); nudge forward.
-		tEvent = math.Nextafter(n.now, math.Inf(1))
-	}
-
-	dt := tEvent - n.now
-	completed := n.completed[:0]
-	for _, tr := range n.flowing {
-		d := tr.rate * dt
-		if d > tr.remaining {
-			d = tr.remaining
-		}
-		tr.remaining -= d
-		n.delivered += d
-		if tr.remaining <= epsBytes {
-			tr.remaining = 0
-			tr.Done = true
-			tr.Completed = tEvent
-			tr.Conn.cur = nil
-			tr.Conn.lastActive = tEvent
-			completed = append(completed, tr)
-		}
-	}
-	n.completed = completed
-	for _, tr := range completed {
-		n.removeFlowing(tr)
-	}
-	n.now = tEvent
-	n.grow()
-	return completed
-}
-
-// grow applies slow-start window doubling for connections whose doubling
-// time has arrived. Only flowing transfers can grow: a pending
-// transfer's first doubling (FlowAt+RTT) is always in the future, and an
-// idle connection has no doubling events scheduled.
-func (n *Network) grow() {
-	for _, tr := range n.flowing {
-		c := tr.Conn
-		if !c.InSlowStart() {
-			continue
-		}
-		for c.nextGrow <= n.now && c.InSlowStart() {
-			c.capBps *= 2
-			c.nextGrow += n.cfg.RTT
-			if c.capBps >= n.steadyCap {
-				c.capBps = math.Inf(1)
-			}
-			n.allocDirty = true
-		}
-	}
-}
-
-// smallSortLen is the largest slice length for which sort.Slice is an
-// insertion sort (and therefore stable); see the pdqsort cutoff in the
-// standard library. Up to this length the engine sorts caps with its own
-// allocation-free insertion sort — the exact same permutation, including
-// for ties — and the uncapped fast path may skip sorting entirely
-// (stability makes the sorted order the connection order). Beyond it the
-// reference used pdqsort, whose tie order is unspecified, so the engine
-// calls sort.Slice itself to stay bit-identical (no shipped experiment
-// has that many concurrent flows).
-const smallSortLen = 12
-
-// allocate distributes capacity (bytes/s) over the flowing transfers
-// using max-min fairness with per-connection caps (progressive water
-// filling). Two allocation-free fast paths cover the dominant cases; the
-// general path insertion-sorts a reused scratch slice. All paths produce
-// bit-identical rates (asserted by TestAllocateFastPathsMatchGeneral):
-// ascending effective cap, ties in connection order, with the same
-// sequential share arithmetic as the reference implementation.
-//
-//vodlint:hotpath — water-filling: runs on every flow-set change
-func (n *Network) allocate(capacity float64) {
-	flowing := n.flowing
-
-	// Fast path: a single flow takes the whole link up to its cap
-	// (capacity/1 is exact, so this equals the general path).
-	if len(flowing) == 1 {
-		tr := flowing[0]
-		r := tr.Conn.effCap()
-		if r > capacity {
-			r = capacity
-		}
-		if r < 0 {
-			r = 0
-		}
-		tr.rate = r
-		return
-	}
-
-	// Fast path: steady-state connections (ramped out of slow start, no
-	// static cap) are all uncapped — no sort needed, shares assign in
-	// connection order exactly as the stable-sorted general path would.
-	if len(flowing) <= smallSortLen {
-		uncapped := true
-		for _, tr := range flowing {
-			if !math.IsInf(tr.Conn.effCap(), 1) {
-				uncapped = false
-				break
-			}
-		}
-		if uncapped {
-			remainingC := capacity
-			remainingN := len(flowing)
-			for _, tr := range flowing {
-				r := remainingC / float64(remainingN)
-				if r < 0 {
-					r = 0
-				}
-				tr.rate = r
-				remainingC -= r
-				remainingN--
-			}
-			return
-		}
-	}
-
-	// General path: ascending effective cap on a reused scratch slice.
-	items := n.items[:0]
-	for _, tr := range flowing {
-		items = append(items, capItem{tr, tr.Conn.effCap()})
-	}
-	if len(items) <= smallSortLen {
-		for i := 1; i < len(items); i++ {
-			for j := i; j > 0 && items[j].cap < items[j-1].cap; j-- {
-				items[j], items[j-1] = items[j-1], items[j]
-			}
-		}
-	} else {
-		sort.Slice(items, func(i, j int) bool { return items[i].cap < items[j].cap }) //vodlint:allow hotalloc — general path only: n > 16 flows on one link; the fast paths above stay allocation-free
-	}
-	remainingC := capacity
-	remainingN := len(items)
-	for _, it := range items {
-		share := remainingC / float64(remainingN)
-		r := it.cap
-		if r > share {
-			r = share
-		}
-		if r < 0 {
-			r = 0
-		}
-		it.tr.rate = r
-		remainingC -= r
-		remainingN--
-	}
-	n.items = items
 }

@@ -7,7 +7,7 @@ import (
 
 // Virtual-service-time engine (GPS / fair-queuing style).
 //
-// The scan engine pays O(F) per event on a busy link: it scans every
+// An eager engine pays O(F) per event on a busy link: it scans every
 // flowing transfer for the next slow-start doubling, reruns the
 // water-filling, and applies rate·dt to every flow. This engine makes
 // each event O(log F) by tracking a cumulative equal-share service
@@ -38,8 +38,8 @@ import (
 // share s. Every move strictly increases s, so each flow moves at most
 // once per direction and the loop terminates.
 //
-// The engine is equivalent to the scan engine up to float accumulation
-// order (uncapped shares are s exactly instead of the water-filling's
+// The engine is equivalent to the eager scan oracle (package tests) up
+// to float accumulation order (uncapped shares are s exactly instead of the water-filling's
 // sequential remainder divisions); the differential fuzz target pins
 // the equivalence with tolerance-bounded completion times and exact
 // per-flow byte conservation.
@@ -324,7 +324,7 @@ func (v *vtimeState) abandon(n *Network, tr *Transfer) {
 	v.rebalance(n)
 }
 
-// enterVTime hands the live flows from the scan engine to the
+// enterVTime hands the live flows from the flowing set to the
 // virtual-time engine. V restarts at 0; every flowing transfer attaches
 // uncapped at its current remaining and the first rebalance derives the
 // true partition.
@@ -356,8 +356,7 @@ func (n *Network) enterVTime() {
 }
 
 // exitVTime hands the flows back: every attached flow materializes its
-// remaining bytes and the scan engine's flowing set is rebuilt in dial
-// order.
+// remaining bytes and the flowing set is rebuilt in dial order.
 func (n *Network) exitVTime() {
 	v := n.v
 	for v.uncFin.Len() > 0 {
@@ -381,12 +380,11 @@ func (n *Network) exitVTime() {
 			tr.remaining = 0
 		}
 	}
-	n.allocDirty = true
 	n.vmode = false
 }
 
 // vStepOnce advances the virtual-time engine by one event and returns
-// any completions. Event processing mirrors scanStepOnce: promote
+// any completions. Event processing mirrors the eager engines: promote
 // pending arrivals, find the next event, advance real and virtual time
 // together, then apply completions, doublings and boundary re-anchors
 // due at the new time, and rebalance once.
@@ -403,7 +401,7 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 		dirty = true
 	}
 	// Refresh edge capacity at the current time (cursor reads are O(1)
-	// amortised; the exact comparison is the scan engine's memo idiom).
+	// amortised; the exact comparison is the cell engine's memo idiom).
 	if c := n.cursor.At(n.now) / 8; c != v.C { //vodlint:allow floateq — memo invalidation on a stored, never-recomputed sample value
 		v.C = c
 		dirty = true
@@ -520,8 +518,7 @@ func (n *Network) vStepOnce(until float64) []*Transfer {
 		v.rebalance(n)
 	}
 
-	// Deterministic dial-order batches, mirroring the scan engine's
-	// flowing-set order.
+	// Deterministic dial-order batches, mirroring the flowing-set order.
 	if len(completed) > 1 {
 		for i := 1; i < len(completed); i++ {
 			for j := i; j > 0 && completed[j].Conn.seq < completed[j-1].Conn.seq; j-- {

@@ -2,10 +2,10 @@ package simnet
 
 // Differential and property tests for the virtual-time engine (vtime.go).
 //
-// The vtime engine is equivalent to the scan engine up to float
-// accumulation order: uncapped flows receive the exact equal share s
+// The vtime engine is equivalent to the scan oracle (scanengine_test.go)
+// up to float accumulation order: uncapped flows receive the exact equal share s
 // instead of the water-filling's sequential remainder divisions, and
-// completions land within the scan engine's epsBytes residue. The tests
+// completions land within the scan oracle's epsBytes residue. The tests
 // here therefore use tolerance-bounded comparisons for times and totals
 // — unlike reference_test.go's bit-exact contract for the scan engine —
 // plus exact structural requirements: the same transfers complete, in a
@@ -21,7 +21,7 @@ import (
 )
 
 // timeTol bounds the completion-time disagreement between the two
-// engines: the scan engine declares completion with up to epsBytes
+// engines: the scan oracle declares completion with up to epsBytes
 // (1e-6) remaining, so times differ by at most eps/rate plus float
 // accumulation dust over a long run.
 const timeTol = 1e-5
@@ -98,8 +98,7 @@ func buildWorkload(rng *rand.Rand, nconn, nlinks, events int) []workloadOp {
 // the same deadlines (checked post-hoc by comparing completion counts).
 func runWorkload(t *testing.T, cfg Config, p *netem.Profile, linkP *netem.Profile, engine Engine, ops []workloadOp, nconn, nlinks int) *engineRun {
 	t.Helper()
-	cfg.Engine = engine
-	n := New(cfg, p)
+	n, stepFn := newEngineNet(cfg, p, engine)
 	links := make([]*AccessLink, nlinks)
 	for i := range links {
 		links[i] = n.NewAccessLink(linkP)
@@ -114,7 +113,7 @@ func runWorkload(t *testing.T, cfg Config, p *netem.Profile, linkP *netem.Profil
 	lastCompleted := 0.0
 	step := func(until float64) {
 		for {
-			done := n.Step(until)
+			done := stepFn(until)
 			if len(done) == 0 {
 				return
 			}
@@ -226,7 +225,7 @@ func FuzzEngineEquivalence(f *testing.F) {
 		cfg := randomConfig(rng)
 		ops := buildWorkload(rng, nconn, nlinks, 80)
 
-		scan := runWorkload(t, cfg, p, linkP, EngineScan, ops, nconn, nlinks)
+		scan := runWorkload(t, cfg, p, linkP, engineScan, ops, nconn, nlinks)
 		vt := runWorkload(t, cfg, p, linkP, EngineVTime, ops, nconn, nlinks)
 		checkConservation(t, scan, "scan")
 		checkConservation(t, vt, "vtime")
@@ -253,84 +252,13 @@ func TestEngineEquivalenceSeeded(t *testing.T) {
 			linkP := netem.Constant("access", 4e6, 7)
 			cfg := randomConfig(rng)
 			ops := buildWorkload(rng, nconn, nlinks, 80)
-			scan := runWorkload(t, cfg, p, linkP, EngineScan, ops, nconn, nlinks)
+			scan := runWorkload(t, cfg, p, linkP, engineScan, ops, nconn, nlinks)
 			vt := runWorkload(t, cfg, p, linkP, EngineVTime, ops, nconn, nlinks)
 			checkConservation(t, scan, "scan")
 			checkConservation(t, vt, "vtime")
 			compareRuns(t, scan, vt)
 		})
 	}
-}
-
-// TestEngineAutoSwitchEquivalence drives a workload that crosses the
-// auto-switch thresholds in both directions — a fan-in spike past
-// vtimeEnter, a drain below vtimeExit, then a second spike — and
-// requires EngineAuto's outcome to match EngineScan's within tolerance
-// while confirming the engine actually switched.
-func TestEngineAutoSwitchEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := randomProfile(rng)
-	for i, s := range p.Samples {
-		if s == 0 {
-			p.Samples[i] = 5e5
-		}
-	}
-	cfg := randomConfig(rng)
-	nconn := vtimeEnter + 24
-	var ops []workloadOp
-	for i := 0; i < nconn; i++ { // spike 1: everyone requests at t=0
-		ops = append(ops, workloadOp{kind: 0, conn: i, size: math.Round(rng.Float64()*2e6) + 1e5, via: -1})
-	}
-	ops = append(ops, workloadOp{kind: 2, until: 1500}) // drain to empty
-	for i := 0; i < nconn; i++ {                        // spike 2: idle-reset then re-request
-		ops = append(ops, workloadOp{kind: 0, conn: i, size: math.Round(rng.Float64()*2e6) + 1e5, via: -1})
-	}
-	ops = append(ops, workloadOp{kind: 2, until: 4000})
-
-	scan := runWorkload(t, cfg, p, nil, EngineScan, ops, nconn, 0)
-	if scan.n.VTimeActive() {
-		t.Fatal("EngineScan ended in vtime mode")
-	}
-
-	// Replay on EngineAuto, probing the mode at the spike and the drain.
-	cfg.Engine = EngineAuto
-	n := New(cfg, p)
-	conns := make([]*Conn, nconn)
-	for i := range conns {
-		conns[i] = n.Dial()
-		conns[i].Start(ops[i].size, nil)
-	}
-	n.Step(0.5) // past every FlowAt: the spike is flowing
-	sawVtime := n.VTimeActive()
-	var auto []completionRec
-	collect := func(until float64) {
-		for {
-			done := n.Step(until)
-			if len(done) == 0 {
-				return
-			}
-			for _, tr := range done {
-				auto = append(auto, completionRec{tr.Conn.seq, tr.Size, tr.Completed})
-			}
-			sawVtime = sawVtime || n.VTimeActive()
-		}
-	}
-	collect(1500)
-	if n.VTimeActive() {
-		t.Error("EngineAuto still in vtime mode after the fleet drained to zero")
-	}
-	for i, c := range conns {
-		c.Start(ops[nconn+1+i].size, nil)
-	}
-	collect(4000)
-	if !sawVtime {
-		t.Fatalf("EngineAuto never entered vtime mode at %d concurrent flows", nconn)
-	}
-	if len(auto) != len(scan.completed) {
-		t.Fatalf("completion count: auto %d != scan %d", len(auto), len(scan.completed))
-	}
-	vt := &engineRun{n: n, completed: auto}
-	compareRuns(t, scan, vt)
 }
 
 // TestVTimeFairnessOrder pins the fairness property in closed form:
@@ -519,11 +447,9 @@ func BenchmarkFanIn512(b *testing.B) {
 	for _, eng := range []struct {
 		name string
 		e    Engine
-	}{{"scan", EngineScan}, {"vtime", EngineVTime}} {
+	}{{"scan", engineScan}, {"vtime", EngineVTime}} {
 		b.Run(eng.name, func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Engine = eng.e
-			n := New(cfg, netem.Constant("edge", 200e6, 1000))
+			n, stepFn := newEngineNet(DefaultConfig(), netem.Constant("edge", 200e6, 1000), eng.e)
 			conns := make([]*Conn, 512)
 			for i := range conns {
 				conns[i] = n.Dial()
@@ -540,7 +466,7 @@ func BenchmarkFanIn512(b *testing.B) {
 					c.Start(sizes[j], nil)
 				}
 				for delivered := 0; delivered < len(conns); {
-					done := n.Step(1e12)
+					done := stepFn(1e12)
 					delivered += len(done)
 					for _, tr := range done {
 						n.Recycle(tr)
