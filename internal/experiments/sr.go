@@ -47,26 +47,21 @@ func srStatsFromResult(res *player.Result) srRunStats {
 		stallSec:  res.TotalStall(),
 		wasted:    res.WastedBytes,
 	}
-	// Group video downloads per index, ordered by start time.
-	perIndex := map[int][]player.Download{}
+	// One pass over the completed video downloads in log order: a
+	// download of an index already seen is a replacement, judged against
+	// the track the index held until then.
+	n := len(res.Displayed)
+	firstTrack := make([]int, n) // index -> track of its first download, -1 if none
+	lastTrack := make([]int, n)  // index -> latest track downloaded
+	for i := range firstTrack {
+		firstTrack[i] = -1
+	}
+	inBurst := false
 	for _, d := range res.Downloads {
-		if d.Type != media.TypeVideo || d.End == 0 {
+		if d.Type != media.TypeVideo || d.End <= 0 {
 			continue
 		}
-		perIndex[d.Index] = append(perIndex[d.Index], d)
-	}
-	first := map[int]player.Download{}
-	inBurst := false
-	var ordered []player.Download
-	for _, d := range res.Downloads {
-		if d.Type == media.TypeVideo && d.End > 0 {
-			ordered = append(ordered, d)
-		}
-	}
-	seen := map[int]int{} // index -> latest track downloaded
-	for _, d := range ordered {
-		prev, again := seen[d.Index]
-		if again {
+		if prev := lastTrack[d.Index]; firstTrack[d.Index] >= 0 {
 			st.replacements++
 			st.baseBytes -= d.Bytes
 			switch {
@@ -83,10 +78,10 @@ func srStatsFromResult(res *player.Result) srRunStats {
 				inBurst = true
 			}
 		} else {
-			first[d.Index] = d
+			firstTrack[d.Index] = d.Track
 			inBurst = false
 		}
-		seen[d.Index] = d.Track
+		lastTrack[d.Index] = d.Track
 	}
 	// Displayed average (actual run) and what-if baseline using the
 	// first download per displayed index.
@@ -101,8 +96,8 @@ func srStatsFromResult(res *player.Result) srRunStats {
 		}
 		w += res.Declared[tr] * d
 		base := tr
-		if f, ok := first[i]; ok {
-			base = f.Track
+		if f := firstTrack[i]; f >= 0 {
+			base = f
 		}
 		wBase += res.Declared[base] * d
 		dur += d

@@ -92,13 +92,14 @@ type Config struct {
 	// paper's short-session reality); the abandoning viewer watches an
 	// exponential duration with mean AbandonMeanSec, clamped to
 	// [5, WatchSec]. Zero selects the default 0.35; negative disables
-	// abandonment. Default mean 45.
+	// abandonment; above 1 is an error. Default mean 45.
 	AbandonProb    float64
 	AbandonMeanSec float64
 	// ClientsPerCell sets how many clients share one edge link.
 	// Default 24.
 	ClientsPerCell int
-	// EdgeMbps is the shared edge budget per cell in Mbit/s. Default 40.
+	// EdgeMbps is the shared edge budget per cell in Mbit/s. Zero
+	// selects the default 40; negative is an error.
 	EdgeMbps float64
 	// FidelityFull is the probability a client runs the full player
 	// state machine; the rest run the coarse background tier. Zero
@@ -149,7 +150,7 @@ func (c Config) Normalized() (Config, error) {
 	case c.AbandonProb < 0:
 		c.AbandonProb = 0
 	case c.AbandonProb > 1:
-		c.AbandonProb = 1
+		return c, fmt.Errorf("fleet: AbandonProb %v is not a probability", c.AbandonProb)
 	}
 	if c.AbandonMeanSec <= 0 {
 		c.AbandonMeanSec = 45
@@ -157,8 +158,11 @@ func (c Config) Normalized() (Config, error) {
 	if c.ClientsPerCell <= 0 {
 		c.ClientsPerCell = 24
 	}
-	if c.EdgeMbps <= 0 {
+	switch {
+	case c.EdgeMbps == 0:
 		c.EdgeMbps = 40
+	case c.EdgeMbps < 0:
+		return c, fmt.Errorf("fleet: EdgeMbps %v is negative", c.EdgeMbps)
 	}
 	switch {
 	case c.FidelityFull == 0:

@@ -472,6 +472,27 @@ func TestConfigValidation(t *testing.T) {
 	if n2.FidelityFull != 0 || n2.FocusSessions != 0 {
 		t.Fatalf("negative fidelity fields should clamp to 0: %+v", n2)
 	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"default edge", Config{Sessions: 10, EdgeMbps: 0}, true},
+		{"tiny edge", Config{Sessions: 10, EdgeMbps: 0.5}, true},
+		{"negative edge", Config{Sessions: 10, EdgeMbps: -5}, false},
+		{"certain abandonment", Config{Sessions: 10, AbandonProb: 1}, true},
+		{"no abandonment", Config{Sessions: 10, AbandonProb: -0.5}, true},
+		{"abandonment above one", Config{Sessions: 10, AbandonProb: 2}, false},
+		{"abandonment just above one", Config{Sessions: 10, AbandonProb: 1.0001}, false},
+	} {
+		_, err := tc.cfg.Normalized()
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: accepted %+v", tc.name, tc.cfg)
+		}
+	}
 	n3, err := (Config{Sessions: 10, FidelityFull: 3}).Normalized()
 	if err != nil {
 		t.Fatal(err)

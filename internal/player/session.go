@@ -96,6 +96,11 @@ type Session struct {
 
 	lean bool
 	res  *Result
+	// firstForward[i] is the position in res.Downloads of the first
+	// completed forward (non-replacement) video download of index i, or
+	// -1: prevDownloadedTrack's index into the download log. Allocated
+	// with res, so lean sessions carry none.
+	firstForward []int32
 
 	// gidx is the session's member id in the Group run driving it (set
 	// by Group.Run): completed transfers wake their owner by id.
@@ -241,9 +246,16 @@ func (s *Session) ensureResult() {
 		return
 	}
 	n := s.segCount
-	nAudio := 0
+	// A session downloads at most what it plays within its duration plus
+	// one full buffer, so the logs are sized to that horizon rather than
+	// to the whole media; append still grows them when replacement or
+	// seeks download more.
+	horizon := s.cfg.SessionDuration + s.cfg.PauseThresholdSec
+	nDl := horizonSegments(n, horizon, s.segDur)
 	if len(s.pres.Audio) > 0 {
-		nAudio = len(s.pres.Audio[0].Segments)
+		if segs := s.pres.Audio[0].Segments; len(segs) > 0 {
+			nDl += horizonSegments(len(segs), horizon, segs[0].Duration)
+		}
 	}
 	s.res = &Result{
 		Name:               s.cfg.Name,
@@ -253,18 +265,30 @@ func (s *Session) ensureResult() {
 		StartupDelay:       -1,
 		Displayed:          make([]int, n),
 		DisplayedWallStart: make([]float64, n),
-		// Sized for the common full run: one sample per second plus one
-		// download and transaction per segment (growth still works when
-		// replacement or seeks exceed the estimate).
+		// One sample per second plus one download and transaction per
+		// segment within the horizon.
 		Samples:      make([]BufferSample, 0, int(s.cfg.SessionDuration)+2),
-		Downloads:    make([]Download, 0, n+nAudio+8),
-		Transactions: make([]traffic.Transaction, 0, n+nAudio+16),
+		Downloads:    make([]Download, 0, nDl+8),
+		Transactions: make([]traffic.Transaction, 0, nDl+16),
 		Declared:     s.declared,
 	}
+	s.firstForward = make([]int32, n)
 	for i := range s.res.Displayed {
 		s.res.Displayed[i] = -1
 		s.res.DisplayedWallStart[i] = -1
+		s.firstForward[i] = -1
 	}
+}
+
+// horizonSegments caps a track's segment count at the segments of segDur
+// seconds that horizon seconds of media reach, plus two.
+func horizonSegments(segs int, horizon, segDur float64) int {
+	if segDur > 0 {
+		if h := horizon/segDur + 2; h < float64(segs) {
+			return int(h)
+		}
+	}
+	return segs
 }
 
 // endAt is the wall time the session's duration budget expires.
@@ -1155,6 +1179,7 @@ func (s *Session) finishSegmentCore(m *reqMeta, size, completed float64) {
 	s.totalBytes += size
 	if s.res != nil && m.dlIdx >= 0 && m.dlIdx < len(s.res.Downloads) {
 		s.res.Downloads[m.dlIdx].End = completed
+		s.noteForward(m.dlIdx)
 	}
 	var rend *manifest.Rendition
 	var buf *Buffer
@@ -1205,19 +1230,29 @@ func (s *Session) finishSegmentCore(m *reqMeta, size, completed float64) {
 	s.maybeStartPlayback()
 }
 
-// prevDownloadedTrack returns the track of the forward video download
-// with the highest index below the given one, or -1.
+// noteForward records a just-completed download in firstForward when it
+// is a forward video download earlier in the log than the one recorded
+// for its index.
+func (s *Session) noteForward(dlIdx int) {
+	d := &s.res.Downloads[dlIdx]
+	if d.Type != media.TypeVideo || d.Replacement || d.End == 0 {
+		return
+	}
+	if f := s.firstForward[d.Index]; f < 0 || int32(dlIdx) < f {
+		s.firstForward[d.Index] = int32(dlIdx)
+	}
+}
+
+// prevDownloadedTrack returns the track of the completed forward video
+// download with the highest index below the given one, or -1; among
+// downloads of that index, the first in the log.
 func (s *Session) prevDownloadedTrack(index int) int {
-	best, bestIdx := -1, -1
-	for _, d := range s.res.Downloads {
-		if d.Type != media.TypeVideo || d.Replacement || d.End == 0 {
-			continue
-		}
-		if d.Index < index && d.Index > bestIdx {
-			bestIdx, best = d.Index, d.Track
+	for i := index - 1; i >= 0; i-- {
+		if f := s.firstForward[i]; f >= 0 {
+			return s.res.Downloads[f].Track
 		}
 	}
-	return best
+	return -1
 }
 
 func (s *Session) finalize() {

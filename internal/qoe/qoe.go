@@ -6,7 +6,9 @@
 package qoe
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/media"
@@ -166,23 +168,25 @@ func Infer(tr *traffic.Result, samples []uimon.Sample) Inferred {
 		end   float64
 		dur   float64
 		start float64 // media start
+		bytes int64
 	}
 	latest := map[int]dl{} // video index -> latest download (by completion)
-	maxIndex := -1
 	for _, s := range tr.Segments {
 		if s.Type != media.TypeVideo {
 			continue
-		}
-		if s.Index > maxIndex {
-			maxIndex = s.Index
 		}
 		rep.DataUsageBytes += float64(s.Bytes)
 		cur, ok := latest[s.Index]
 		if !ok || s.End > cur.end {
 			if ok {
-				rep.WastedBytes += float64(s.Bytes) // approximation: earlier copy wasted
+				// The later completion supersedes the copy held so far.
+				rep.WastedBytes += float64(cur.bytes)
 			}
-			latest[s.Index] = dl{track: s.Track, end: s.End, dur: s.Duration, start: s.MediaStart}
+			latest[s.Index] = dl{track: s.Track, end: s.End, dur: s.Duration, start: s.MediaStart, bytes: s.Bytes}
+		} else {
+			// This copy completed no later than the one held: it is the
+			// superseded one.
+			rep.WastedBytes += float64(s.Bytes)
 		}
 	}
 	for _, s := range tr.Segments {
@@ -223,7 +227,7 @@ func Infer(tr *traffic.Result, samples []uimon.Sample) Inferred {
 	if playedMedia > 0 {
 		rep.AvgBitrate = weighted / playedMedia
 	}
-	rep.PlayedSec = playedMedia + rep.StallSec*0 // media seconds shown
+	rep.PlayedSec = playedMedia // media seconds shown
 	if rep.StartupDelay >= 0 && len(samples) > 0 {
 		rep.PlayedSec = samples[len(samples)-1].T - rep.StartupDelay - rep.StallSec
 		if rep.PlayedSec < 0 {
@@ -238,33 +242,64 @@ func Infer(tr *traffic.Result, samples []uimon.Sample) Inferred {
 }
 
 func inferBuffer(tr *traffic.Result, samples []uimon.Sample) []BufferPoint {
-	var out []BufferPoint
+	if len(samples) == 0 {
+		return nil
+	}
+	video, audio := mediaSpans(tr.Segments)
+	out := make([]BufferPoint, 0, len(samples))
 	for _, smp := range samples {
 		pos := smp.Position
-		v := contiguousEnd(tr.Segments, media.TypeVideo, smp.T, pos)
-		a := contiguousEnd(tr.Segments, media.TypeAudio, smp.T, pos)
+		v := contiguousEnd(video, smp.T, pos)
+		a := contiguousEnd(audio, smp.T, pos)
 		out = append(out, BufferPoint{T: smp.T, VideoSec: math.Max(0, v-pos), AudioSec: math.Max(0, a-pos)})
 	}
 	return out
 }
 
-// contiguousEnd returns the contiguous downloaded media end of a type at
-// wall time t, starting from playback position pos.
-func contiguousEnd(segs []traffic.SegmentDownload, typ media.MediaType, t, pos float64) float64 {
-	type span struct{ start, end float64 }
-	var spans []span
+// span is one downloaded segment's media interval and the wall time its
+// download completed.
+type span struct{ start, end, done float64 }
+
+// mediaSpans returns the video and audio segment downloads as spans
+// sorted by media start, both carved from one allocation.
+func mediaSpans(segs []traffic.SegmentDownload) (video, audio []span) {
+	nVideo, nAudio := 0, 0
 	for _, s := range segs {
-		if s.Type != typ || s.End > t {
-			continue
+		switch s.Type {
+		case media.TypeVideo:
+			nVideo++
+		case media.TypeAudio:
+			nAudio++
 		}
-		spans = append(spans, span{s.MediaStart, s.MediaStart + s.Duration})
 	}
-	if len(spans) == 0 {
-		return pos
+	all := make([]span, nVideo+nAudio)
+	video, audio = all[:0:nVideo], all[nVideo:nVideo]
+	for _, s := range segs {
+		sp := span{start: s.MediaStart, end: s.MediaStart + s.Duration, done: s.End}
+		switch s.Type {
+		case media.TypeVideo:
+			video = append(video, sp)
+		case media.TypeAudio:
+			audio = append(audio, sp)
+		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
+	byStart := func(a, b span) int { return cmp.Compare(a.start, b.start) }
+	slices.SortFunc(video, byStart)
+	slices.SortFunc(audio, byStart)
+	return video, audio
+}
+
+// contiguousEnd returns the contiguous downloaded media end at wall time
+// t, starting from playback position pos, over start-sorted spans. Spans
+// still downloading at t are skipped. The order among equal starts does
+// not matter: the end only grows, so a span that extends the chain lets
+// every other span with its start through too.
+func contiguousEnd(spans []span, t, pos float64) float64 {
 	end := pos
 	for _, sp := range spans {
+		if sp.done > t {
+			continue
+		}
 		if sp.start > end+1e-6 {
 			break
 		}

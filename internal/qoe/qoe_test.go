@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/manifest"
+	"repro/internal/media"
 	"repro/internal/netem"
 	"repro/internal/player"
 	"repro/internal/qoe"
@@ -56,6 +58,53 @@ func TestNonConsecutiveSwitches(t *testing.T) {
 	rep := qoe.FromResult(res)
 	if rep.Switches != 3 || rep.NonConsecutive != 2 {
 		t.Fatalf("switches %d non-consecutive %d", rep.Switches, rep.NonConsecutive)
+	}
+}
+
+// TestInferWastedBytesChargesSupersededCopy downloads index 1 twice and
+// checks that the copy losing to the later completion is the one
+// charged as waste, whichever of the two appears first in start order.
+func TestInferWastedBytesChargesSupersededCopy(t *testing.T) {
+	pres := &manifest.Presentation{Video: []*manifest.Rendition{
+		{ID: 0, Type: media.TypeVideo, DeclaredBitrate: 500e3},
+		{ID: 1, Type: media.TypeVideo, DeclaredBitrate: 1e6},
+	}}
+	seg := func(index, track int, bytes int64, start, end float64) traffic.SegmentDownload {
+		return traffic.SegmentDownload{
+			Type: media.TypeVideo, Track: track, Index: index, Duration: 4,
+			MediaStart: 4 * float64(index), Bytes: bytes, Start: start, End: end,
+		}
+	}
+	samples := []uimon.Sample{{T: 0, Position: 0}, {T: 1, Position: 0}, {T: 20, Position: 12}}
+	cases := []struct {
+		name       string
+		segs       []traffic.SegmentDownload
+		wasted     float64
+		shownTrack int // track the inference displays for index 1
+	}{
+		// The later copy completes later: it supersedes the first, whose
+		// 1000 bytes are waste.
+		{"later start completes later", []traffic.SegmentDownload{
+			seg(0, 0, 500, 0, 1), seg(1, 0, 1000, 1, 2), seg(2, 0, 500, 2, 3), seg(1, 1, 3000, 3, 5),
+		}, 1000, 1},
+		// The later-starting copy completes first: it is superseded by
+		// the earlier-starting one and its 3000 bytes are waste.
+		{"later start completes earlier", []traffic.SegmentDownload{
+			seg(0, 0, 500, 0, 1), seg(1, 0, 1000, 1, 6), seg(2, 0, 500, 2, 3), seg(1, 1, 3000, 3, 5),
+		}, 3000, 0},
+	}
+	for _, c := range cases {
+		inf := qoe.Infer(&traffic.Result{Presentation: pres, Segments: c.segs}, samples)
+		rep := inf.Report
+		if rep.WastedBytes != c.wasted {
+			t.Errorf("%s: wasted %v bytes, want %v", c.name, rep.WastedBytes, c.wasted)
+		}
+		if rep.DataUsageBytes != 5000 {
+			t.Errorf("%s: data usage %v, want 5000", c.name, rep.DataUsageBytes)
+		}
+		if got := rep.TimeOnTrack[1] > 0; got != (c.shownTrack == 1) {
+			t.Errorf("%s: time on track 1 = %v, want index 1 shown at track %d", c.name, rep.TimeOnTrack, c.shownTrack)
+		}
 	}
 }
 
